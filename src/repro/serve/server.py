@@ -1552,18 +1552,17 @@ class MiccoServer:
                 label="node flap down" if flap else f"{kind.replace('_', ' ')}",
             )
 
-        if self.cluster.num_alive == 0:
-            # Nothing left to serve on: everything admitted is shed.
-            for ticket in list(pending.values()):
-                abandon(ticket, now)
-            return sorted(orphaned)
-
-        # Recompute the reuse bounds for the survivors.
+        # Recompute the reuse bounds for the survivors (a no-op once the
+        # pool is empty).
         self._rescale_bounds(alive_before, self.cluster.num_alive)
 
         dead = set(orphaned)
         affected = [t for t in pending.values() if dead & set(t.assignment)]
-        if not self.serve_config.recover_faults:
+        if self.cluster.num_alive == 0:
+            # Nothing left to serve on: everything admitted is shed.
+            for ticket in list(pending.values()):
+                abandon(ticket, now)
+        elif not self.serve_config.recover_faults:
             for ticket in affected:
                 abandon(ticket, now)
             injector.stats.record_recovery(kind, 0.0)

@@ -313,6 +313,30 @@ class TestWarmRestore:
         )
         assert server.cluster.num_alive >= 2
 
+    def test_replace_lost_fires_when_the_loss_empties_the_pool(self):
+        # One alive device (initial_devices=1) dies: the pool is empty
+        # and a replacement must still be requested, or every later
+        # arrival is shed while spares sit retired.
+        from repro.serve import AutoscalerConfig, make_server
+
+        plan = FaultPlan((FaultEvent(FaultKind.DEVICE_LOST, 0.02, 0),))
+        serve = ServeConfig(
+            autoscaler=AutoscalerConfig(
+                min_devices=1, max_devices=4, initial_devices=1,
+                warmup_s=5e-4, replace_lost=True,
+            ),
+        )
+        params = WorkloadParams(
+            vector_size=8, tensor_size=64, repeated_rate=0.6, num_vectors=60, batch=2
+        )
+        vectors = SyntheticWorkload(params, seed=3).vectors()
+        server = make_server(serve, cluster=small_config(8))
+        result = server.run(vectors, PoissonArrivals(1000.0), seed=11, faults=plan)
+        ups = [a for a in result.autoscale["actions"]
+               if a["action"] == "up" and "replace lost" in a["reason"]]
+        assert len(ups) == 1
+        assert result.dropped <= 1
+
     def test_warm_restore_prewarms_journaled_tensors(self):
         _, result = self.chaos_with_replacement(warm=True)
         assert result.journal is not None
