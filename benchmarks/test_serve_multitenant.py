@@ -19,10 +19,10 @@ from repro.core.config import MiccoConfig
 from repro.serve import (
     AutoscalerConfig,
     BurstyArrivals,
-    MultiTenantServer,
     PoissonArrivals,
     ServeConfig,
     TenantSpec,
+    make_server,
 )
 from repro.workloads import WorkloadParams
 
@@ -49,7 +49,7 @@ def heavy_share(result):
 
 def run_fairness(policy):
     cfg = ServeConfig(queue_capacity=128, queue_policy=policy, tenants=fairness_tenants())
-    server = MultiTenantServer(config=MiccoConfig(num_devices=2), serve=cfg)
+    server = make_server(cfg, cluster=MiccoConfig(num_devices=2))
     return server.run(seed=SEED)
 
 
@@ -84,7 +84,7 @@ def run_autoscaled(autoscale: bool):
     )
     # The fixed baseline gets exactly the autoscaler's floor: one device.
     devices = 4 if autoscale else 1
-    server = MultiTenantServer(config=MiccoConfig(num_devices=devices), serve=cfg)
+    server = make_server(cfg, cluster=MiccoConfig(num_devices=devices))
     result = server.run(seed=SEED)
     server.cluster.check_invariants()
     return result

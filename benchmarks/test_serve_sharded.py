@@ -2,8 +2,8 @@
 
 A saturating two-tenant workload on a two-node (4+4 GPU) cluster is
 served twice: once through the single global control loop
-(:class:`MultiTenantServer` — one scheduling round in flight for the
-whole cluster) and once through the two-level sharded plane
+(:class:`MiccoServer` — one scheduling round in flight for the whole
+cluster) and once through the two-level sharded plane
 (:class:`ShardedServer` — a global router over per-node schedulers,
 each with its own admission queue and in-flight window).  With the
 control path the bottleneck, sharding must sustain a materially higher
@@ -41,12 +41,12 @@ from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.gpusim import CostModel, Topology
 from repro.serve import (
     HealthConfig,
-    MultiTenantServer,
     PoissonArrivals,
     ServeConfig,
     ShardedServer,
     SloTargets,
     TenantSpec,
+    make_server,
 )
 from repro.workloads import WorkloadParams
 
@@ -188,9 +188,7 @@ def section(result, wall_s: float) -> dict:
 
 def sweep():
     out = {}
-    out["single"] = timed(
-        MultiTenantServer(config=cluster_config(), serve=serve_config())
-    )
+    out["single"] = timed(make_server(serve_config(), cluster=cluster_config()))
     out["sharded"] = timed(
         ShardedServer(config=cluster_config(), serve=serve_config(sharded=True))
     )

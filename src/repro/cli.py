@@ -502,7 +502,7 @@ def _run_serve(argv: list[str], *, chaos: bool = False) -> int:
         print(f"fault plan written to {args.save_plan}")
 
     # One entry point for every mode: serve() picks MiccoServer /
-    # MultiTenantServer / ShardedServer from the ServeConfig alone.
+    # ShardedServer from the ServeConfig alone.
     if serve_cfg.tenants:
         # Multi-tenant mode: the tenant specs define the traffic, so the
         # single-stream workload/arrival flags are unused.

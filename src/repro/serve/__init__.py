@@ -10,8 +10,8 @@ and the execution engine into one deterministic discrete-event loop
 latency SLO metrics — tail percentiles, windowed throughput, drop rate
 (:mod:`repro.serve.slo`).
 
-Multi-tenant mode (:mod:`repro.serve.tenancy`,
-:class:`repro.serve.MultiTenantServer`) interleaves several weighted
+Multi-tenant mode (:mod:`repro.serve.tenancy`, enabled with a
+``ServeConfig(tenants=...)`` roster) interleaves several weighted
 tenant streams into one timeline with weighted-fair admission and
 per-tenant SLO attainment, and an optional p99-driven autoscaler
 (:mod:`repro.serve.autoscale`) grows and shrinks the device pool.
@@ -83,7 +83,7 @@ from repro.serve.queueing import (
     WeightedFair,
     make_policy,
 )
-from repro.serve.server import MiccoServer, MultiTenantServer, ServeConfig, ServeResult
+from repro.serve.server import MiccoServer, ServeConfig, ServeResult
 from repro.serve.sharded import (
     ROUTING_POLICIES,
     GlobalScheduler,
@@ -133,7 +133,6 @@ __all__ = [
     "FaultAware",
     "make_policy",
     "MiccoServer",
-    "MultiTenantServer",
     "ServeConfig",
     "ServeResult",
     "TenantSpec",

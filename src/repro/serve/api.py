@@ -1,21 +1,17 @@
 """Unified serving entry point: one ``serve()`` call for every mode.
 
-Historically each serving mode had its own front door — construct a
-:class:`~repro.serve.server.MiccoServer` for a single stream, a
-:class:`~repro.serve.server.MultiTenantServer` for a tenant roster, a
-:class:`~repro.serve.sharded.ShardedServer` for the two-level control
-plane — and call the matching ``run()`` overload.  :func:`serve`
-collapses that into one function that picks the server class from the
+:func:`serve` picks the server class from the
 :class:`~repro.serve.server.ServeConfig` alone:
 
 ===========================  =========================================
 ``ServeConfig`` state        dispatched server
 ===========================  =========================================
-``sharded=True``             :class:`ShardedServer` (single-stream or
-                             tenant roster, per ``tenants``)
-``tenants`` non-empty        :class:`MultiTenantServer`
+``sharded=True``             :class:`ShardedServer`
 otherwise                    :class:`MiccoServer`
 ===========================  =========================================
+
+Both serve a single stream or, when ``tenants`` is set, the tenant
+roster, through the same ``run()`` signature.
 
 Direct construction of the server classes still works (the entire test
 surface exercises them) but emits a :class:`DeprecationWarning`;
@@ -36,14 +32,7 @@ Example
 from __future__ import annotations
 
 from repro.core.config import MiccoConfig
-from repro.errors import ConfigurationError
-from repro.serve.server import (
-    MiccoServer,
-    MultiTenantServer,
-    ServeConfig,
-    ServeResult,
-    _api_construction,
-)
+from repro.serve.server import MiccoServer, ServeConfig, ServeResult, _api_construction
 from repro.serve.sharded import ShardedServer
 
 __all__ = ["make_server", "serve"]
@@ -58,10 +47,10 @@ def make_server(
 ) -> MiccoServer:
     """Instantiate the server class ``config`` calls for.
 
-    ``sharded=True`` selects :class:`ShardedServer`, a tenant roster
-    selects :class:`MultiTenantServer`, anything else the single-loop
-    :class:`MiccoServer`.  Unlike direct construction this path does
-    not emit a :class:`DeprecationWarning`.
+    ``sharded=True`` selects :class:`ShardedServer`, anything else the
+    single-loop :class:`MiccoServer` (which also serves a tenant
+    roster).  Unlike direct construction this path does not emit a
+    :class:`DeprecationWarning`.
 
     Parameters
     ----------
@@ -77,12 +66,7 @@ def make_server(
         Optional reuse-bound predictor, forwarded verbatim.
     """
     cfg = config if config is not None else ServeConfig()
-    if cfg.sharded:
-        cls = ShardedServer
-    elif cfg.tenants:
-        cls = MultiTenantServer
-    else:
-        cls = MiccoServer
+    cls = ShardedServer if cfg.sharded else MiccoServer
     with _api_construction():
         return cls(scheduler, cluster, cfg, predictor)
 
@@ -117,17 +101,4 @@ def serve(
     server = make_server(
         config, cluster=cluster, scheduler=scheduler, predictor=predictor
     )
-    cfg = server.serve_config
-    if cfg.tenants:
-        if vectors is not None or arrivals is not None:
-            raise ConfigurationError(
-                "ServeConfig.tenants is set: streams come from the tenant "
-                "specs, do not pass vectors/arrivals"
-            )
-        return server.run(seed=seed, reset=reset, faults=faults)
-    if vectors is None or arrivals is None:
-        raise ConfigurationError(
-            "single-stream serving needs vectors and arrivals "
-            "(or a ServeConfig.tenants roster)"
-        )
     return server.run(vectors, arrivals, seed=seed, reset=reset, faults=faults)

@@ -8,7 +8,7 @@ dispatched one scheduling slot at a time, and execute on devices whose
 busy-until horizons are derived from the cost model — so device compute
 overlaps later arrivals exactly as on real hardware.
 
-:class:`MultiTenantServer` is the multi-tenant mode of the same loop:
+With :attr:`ServeConfig.tenants` set, the same loop runs multi-tenant:
 several :class:`~repro.serve.tenancy.TenantSpec` arrival streams are
 interleaved into one timeline, admission runs weighted-fair across the
 tenants, and the report carries per-tenant tails and SLO attainment
@@ -29,6 +29,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -79,6 +80,9 @@ from repro.serve.timeline import (
 from repro.tensor.spec import VectorSpec
 from repro.workloads.characteristics import CharacteristicsTracker
 
+if TYPE_CHECKING:  # imported at run time inside MiccoServer._runtime
+    from repro.serve.sharded.node import NodeRuntime
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -115,8 +119,8 @@ class ServeConfig:
         reason ``"fault-abandoned"`` instead — the baseline a chaos run
         compares against.
     tenants:
-        Tenant roster; non-empty enables the multi-tenant serving mode
-        (:class:`MultiTenantServer`).
+        Tenant roster; non-empty enables multi-tenant serving (streams
+        drawn from the specs by :meth:`MiccoServer.run`).
     autoscaler:
         Pool autoscaling policy; ``None`` keeps the pool fixed.
     faults:
@@ -701,32 +705,33 @@ class MiccoServer:
             eviction_policy=self.config.eviction_policy,
         )
         self.engine = ExecutionEngine(self.cluster, self.config.cost_model)
-        # Baseline (bounds, alive count) captured at the start of each
-        # run; every pool-size change rescales from this anchor so that
-        # repeated shrink/grow cycles cannot compound float drift (see
-        # ``_rescale_bounds``).
-        self._bounds_anchor: tuple | None = None
 
     # ------------------------------------------------------------------- run
     def run(
         self,
-        vectors: list[VectorSpec],
-        arrivals,
+        vectors: list[VectorSpec] | None = None,
+        arrivals=None,
         *,
         seed=0,
         reset: bool = True,
         faults: FaultPlan | None = None,
     ) -> ServeResult:
-        """Serve ``vectors`` arriving per ``arrivals``; returns SLO metrics.
+        """Serve one stream (``vectors`` + ``arrivals``) or the tenant roster.
 
         Parameters
         ----------
         vectors:
-            The request stream, in arrival order.
+            The request stream, in arrival order.  Omitted when
+            :attr:`ServeConfig.tenants` is set: each tenant's vectors and
+            arrival times are then drawn from ``seed`` (independent
+            per-tenant generators), interleaved into one timeline and
+            admitted weighted-fair across the tenants unless
+            :attr:`ServeConfig.queue_policy` overrides it.  The result
+            then carries per-tenant tails and SLO attainment.
         arrivals:
             An :class:`~repro.serve.arrivals.ArrivalProcess` (sampled
             with ``seed``) or an explicit sequence of absolute arrival
-            timestamps, one per vector.
+            timestamps, one per vector (omitted with tenants).
         reset:
             Start from an empty cluster and idle devices (default).
         faults:
@@ -742,15 +747,35 @@ class MiccoServer:
             keeps serving.  The result's ``faults`` section reports
             counts, recovery latencies and availability.
         """
-        if not vectors:
-            raise ConfigurationError("serving run needs at least one vector")
+        streams = self._streams(vectors, arrivals, seed, build_streams)
+        return self._serve(streams, faults=faults, reset=reset)
+
+    def _streams(self, vectors, arrivals, seed, build) -> list[TenantStream]:
+        """The run's arrival streams: the tenant roster or one stream.
+
+        ``build`` draws the roster's streams; each server module passes
+        its own ``build_streams`` binding, which the benchmark's
+        per-layer tracer wraps per module.
+        """
+        tenants = self.serve_config.tenants
+        if tenants:
+            if vectors is not None or arrivals is not None:
+                raise ConfigurationError(
+                    "ServeConfig.tenants is set: streams come from the tenant "
+                    "specs, do not pass vectors/arrivals"
+                )
+            return build(tenants, seed)
+        if not vectors or arrivals is None:
+            raise ConfigurationError(
+                "single-stream serving needs vectors and arrivals "
+                "(or a ServeConfig.tenants roster)"
+            )
         if isinstance(arrivals, ArrivalProcess):
             times = arrivals.arrival_times(len(vectors), seed)
         else:
             # Explicit timestamps: validate through the trace process.
             times = TraceArrivals(list(arrivals)).arrival_times(len(vectors))
-        stream = TenantStream(spec=None, vectors=list(vectors), times=times)
-        return self._serve([stream], faults=faults, reset=reset)
+        return [TenantStream(spec=None, vectors=list(vectors), times=times)]
 
     # ------------------------------------------------------------- event loop
     def _serve(
@@ -770,9 +795,10 @@ class MiccoServer:
         if faults is None:
             faults = cfg.faults
         timeline = Timeline()
-        queue = AdmissionQueue(cfg.queue_capacity, self._resolve_policy(streams))
+        policy = self._resolve_policy(streams)
+        if cfg.fault_aware_admission and not isinstance(policy, FaultAware):
+            policy = FaultAware(policy, min_success_prob=cfg.admission_min_success)
         report = LatencyReport()
-        tracker = CharacteristicsTracker()
         total = ExecutionMetrics(num_devices=self.cluster.num_devices)
         # Slot-indexed device horizons live on the cluster (shared with
         # introspection/benchmarks); each serve pass starts them fresh.
@@ -785,7 +811,6 @@ class MiccoServer:
         injector = (
             FaultInjector(faults, self.cluster.num_devices) if faults is not None else None
         )
-        scaler = Autoscaler(cfg.autoscaler) if cfg.autoscaler is not None else None
         journal = ResidencyJournal(cfg.journal_capacity) if cfg.warm_restore else None
         integ = (
             IntegrityState(cfg.integrity, self.cluster.num_devices)
@@ -798,9 +823,7 @@ class MiccoServer:
         verified: set[int] = set()
         # The fault-aware admission gate, when configured (observe() is
         # fed the live fault picture at every arrival).
-        gate = queue.policy if isinstance(queue.policy, FaultAware) else None
-        #: Devices scheduled to come online, warm-up still pending.
-        pending_online: set[int] = set()
+        gate = policy if isinstance(policy, FaultAware) else None
         # Tickets dispatched and executed, completion event still ahead
         # (the set device loss or scale-down can orphan work out of).
         pending: dict[int, Ticket] = {}
@@ -808,30 +831,14 @@ class MiccoServer:
         rounds_log: list[dict] = []
         events_processed = 0
 
-        # Anchor the reuse bounds before any pool-size change so every
-        # rescale derives from the run's original (bounds, pool) pair.
-        if (
-            self.predictor is None
-            and hasattr(self.scheduler, "bounds")
-            and hasattr(self.scheduler, "set_bounds")
-        ):
-            self._bounds_anchor = (self.scheduler.bounds, self.cluster.num_alive)
-        else:
-            self._bounds_anchor = None
-
-        if scaler is not None:
-            self._shrink_to_initial(scaler)
-        for stream in streams:
-            tenant = stream.spec.name if stream.spec is not None else None
-            p99_target = stream.spec.slo.p99_s if stream.spec is not None else None
-            for t, v in zip(stream.times, stream.vectors):
-                deadline = t + p99_target if p99_target is not None else None
-                timeline.push(
-                    VectorArrival(
-                        t,
-                        Ticket(vector=v, arrival_s=t, tenant=tenant, deadline_s=deadline),
-                    )
-                )
+        # One runtime over every device; its view is the cluster itself.
+        rt = self._runtime(
+            None, range(self.cluster.num_devices), self.cluster, self.scheduler, policy,
+            Autoscaler(cfg.autoscaler) if cfg.autoscaler is not None else None,
+        )
+        queue = rt.queue
+        scaler = rt.scaler
+        self._push_arrivals(timeline, streams)
 
         def dispatch(members: list[Ticket], now: float) -> None:
             """Dispatch one scheduling round (``inflight`` counts rounds)."""
@@ -857,7 +864,7 @@ class MiccoServer:
 
         def refill(now: float) -> None:
             while inflight < cfg.max_inflight:
-                members = self._pop_round(queue, now)
+                members = self._pop_round(rt, now)
                 if not members:
                     break
                 dispatch(members, now)
@@ -912,7 +919,7 @@ class MiccoServer:
                             # Transient: the devices come back on their
                             # own, so no replacement warm-up is requested.
                             for dev in self._apply_device_loss(
-                                loss, now, injector, pending, busy_until,
+                                rt, loss, now, injector, pending, busy_until,
                                 timeline, total, abandon,
                             ):
                                 timeline.push(
@@ -925,47 +932,27 @@ class MiccoServer:
                             self._apply_bitflip(loss, now, injector, integ)
                         else:
                             self._apply_device_loss(
-                                loss, now, injector, pending, busy_until, timeline,
-                                total, abandon, scaler=scaler,
-                                pending_online=pending_online,
+                                rt, loss, now, injector, pending, busy_until, timeline,
+                                total, abandon,
                             )
                 if integ is not None:
                     for dev in integ.poll_quarantines():
                         self._quarantine_device(
-                            dev, now, injector, integ, pending, verified,
+                            rt, dev, now, injector, integ, pending, verified,
                             busy_until, timeline, total, abandon,
                         )
                 if scaler is not None:
                     self._autoscale_step(
-                        scaler, now, queue, timeline, pending, pending_online,
-                        busy_until, total, injector, abandon,
+                        rt, now, timeline, pending, busy_until, total, injector, abandon
                     )
                 ticket = event.ticket
 
                 if isinstance(event, VectorArrival):
-                    if gate is not None:
-                        fault_events = 0
-                        if injector is not None:
-                            s = injector.stats
-                            fault_events = (
-                                s.transient_failures
-                                + s.device_losses
-                                + s.transfer_refetches
-                            )
-                        gate.observe(
-                            now, fault_events,
-                            self.cluster.num_alive, self.cluster.num_devices,
-                        )
-                    if self.cluster.num_alive == 0:
-                        report.add_drop(ticket, reason="fault-abandoned")
-                    elif gate is not None and not gate.admit(ticket, now):
-                        report.add_drop(ticket, reason="predicted-infeasible")
-                        if injector is not None:
-                            injector.stats.predicted_infeasible += 1
-                    elif inflight < cfg.max_inflight and not len(queue):
-                        dispatch([ticket], now)
-                    elif not queue.offer(ticket):
-                        report.add_drop(ticket)
+                    if self._admit(ticket, now, gate, injector, report):
+                        if inflight < cfg.max_inflight and not len(queue):
+                            dispatch([ticket], now)
+                        elif not queue.offer(ticket):
+                            report.add_drop(ticket)
 
                 elif isinstance(event, SchedulingDone):
                     members = event.round.members if event.round is not None else [ticket]
@@ -975,34 +962,10 @@ class MiccoServer:
                         for t in members:
                             abandon(t, now)
                         continue
-                    merged = merge_vectors([t.vector for t in members])
-                    try:
-                        vec_metrics, assignment = self._schedule_and_execute(
-                            merged, tracker, wants_bounds
-                        )
-                    except FaultError:
-                        # Retry budget exhausted (or the pool died under
-                        # us): shed the round, keep the cluster serving.
-                        for t in members:
-                            abandon(t, now)
-                        continue
-                    # Per-device busy seconds this round added; members
-                    # share the round's horizon on the devices they use.
-                    delta = vec_metrics.compute_s + vec_metrics.memop_s
-                    for dev in sorted(set(assignment)):
-                        busy_until[dev] = max(busy_until[dev], now) + delta[dev]
-                    total.merge(vec_metrics)
-                    # De-multiplex: each member keeps its own assignment
-                    # slice and completes when its own devices drain.
-                    slices = split_assignment([t.vector for t in members], assignment)
-                    for t, sl in zip(members, slices):
-                        t.assignment = sl
-                        t.devices = sorted(set(sl))
-                        complete = max((busy_until[d] for d in t.devices), default=now)
-                        pending[id(t)] = t
-                        timeline.push(
-                            VectorCompletion(max(complete, now), t, epoch=t.epoch)
-                        )
+                    self._execute_round(
+                        rt, members, now, wants_bounds, busy_until, total, pending,
+                        timeline, abandon,
+                    )
 
                 elif isinstance(event, VectorCompletion):
                     if event.epoch != ticket.epoch:
@@ -1038,24 +1001,17 @@ class MiccoServer:
                     settle(ticket, now)
 
                 elif isinstance(event, DeviceOnline):
-                    self._bring_online(
-                        event.device, now, scaler, pending_online, busy_until, injector
-                    )
+                    self._bring_online(rt, event.device, now, busy_until, injector)
 
                 elif isinstance(event, DeviceRestore):
-                    self._restore_device(event.device, now, busy_until, injector)
+                    self._restore_device(rt, event.device, now, busy_until, injector)
         finally:
             self.engine.injector = None
             self.engine.integrity = None
             self.engine.trace = prev_trace
             self.cluster.journal = None
 
-        fault_summary = None
-        fault_events: list[dict] = []
-        if injector is not None:
-            injector.stats.finalize(report.makespan_s, self.cluster.num_devices)
-            fault_summary = injector.stats.summary()
-            fault_events = list(injector.stats.events)
+        fault_summary, fault_events = self._fault_summary(injector, report)
         specs = [s.spec for s in streams if s.spec is not None]
         return ServeResult(
             report=report,
@@ -1076,8 +1032,138 @@ class MiccoServer:
             trace_mode=trace_mode,
         )
 
-    def _pop_round(self, queue: AdmissionQueue, now: float = 0.0) -> list[Ticket]:
-        """Pop the next scheduling round's members from the queue.
+    # ------------------------------------------------------ runtime pieces
+    def _runtime(
+        self,
+        node: int | None,
+        devices,
+        view,
+        scheduler: Scheduler,
+        policy: QueuePolicy,
+        scaler: Autoscaler | None,
+    ) -> NodeRuntime:
+        """Build the :class:`~repro.serve.sharded.node.NodeRuntime` for one device set.
+
+        The reuse bounds are anchored before any pool-size change, so
+        every rescale derives from the runtime's original (bounds, pool)
+        pair, and an autoscaled pool then shrinks to its initial size.
+        """
+        # Imported lazily: repro.serve.sharded imports this module.
+        from repro.serve.sharded.node import NodeRuntime
+
+        rt = NodeRuntime(
+            node, devices, view, scheduler,
+            AdmissionQueue(self.serve_config.queue_capacity, policy),
+            CharacteristicsTracker(), scaler,
+        )
+        if (
+            self.predictor is None
+            and hasattr(scheduler, "bounds")
+            and hasattr(scheduler, "set_bounds")
+        ):
+            rt.bounds_anchor = (scheduler.bounds, view.num_alive)
+        if scaler is not None:
+            self._shrink_to_initial(rt)
+        return rt
+
+    @staticmethod
+    def _push_arrivals(timeline: Timeline, streams: list[TenantStream]) -> None:
+        """One arrival per offered vector, carrying its tenant's SLO deadline."""
+        for stream in streams:
+            tenant = stream.spec.name if stream.spec is not None else None
+            p99_target = stream.spec.slo.p99_s if stream.spec is not None else None
+            for t, v in zip(stream.times, stream.vectors):
+                deadline = t + p99_target if p99_target is not None else None
+                timeline.push(
+                    VectorArrival(
+                        t,
+                        Ticket(vector=v, arrival_s=t, tenant=tenant, deadline_s=deadline),
+                    )
+                )
+
+    def _admit(
+        self,
+        ticket: Ticket,
+        now: float,
+        gate: FaultAware | None,
+        injector: FaultInjector | None,
+        report: LatencyReport,
+    ) -> bool:
+        """Arrival admission; ``False`` means the ticket was shed.
+
+        The fault-aware gate, when configured, first observes the live
+        fault picture.  An empty pool sheds as ``fault-abandoned``, a
+        gate rejection as ``predicted-infeasible``.
+        """
+        if gate is not None:
+            fault_events = 0
+            if injector is not None:
+                s = injector.stats
+                fault_events = (
+                    s.transient_failures + s.device_losses + s.transfer_refetches
+                )
+            gate.observe(
+                now, fault_events, self.cluster.num_alive, self.cluster.num_devices
+            )
+        if self.cluster.num_alive == 0:
+            report.add_drop(ticket, reason="fault-abandoned")
+            return False
+        if gate is not None and not gate.admit(ticket, now):
+            report.add_drop(ticket, reason="predicted-infeasible")
+            if injector is not None:
+                injector.stats.predicted_infeasible += 1
+            return False
+        return True
+
+    def _execute_round(
+        self,
+        rt: NodeRuntime,
+        members: list[Ticket],
+        now: float,
+        wants_bounds: bool,
+        busy_until,
+        total: ExecutionMetrics,
+        pending: dict[int, Ticket],
+        timeline: Timeline,
+        abandon,
+    ) -> None:
+        """Schedule one round on ``rt`` and de-multiplex it per member."""
+        merged = merge_vectors([t.vector for t in members])
+        try:
+            vec_metrics, assignment = self._schedule_and_execute(rt, merged, wants_bounds)
+        except FaultError:
+            # Retry budget exhausted (or the pool died under us): shed
+            # the round, keep the cluster serving.
+            for t in members:
+                abandon(t, now)
+            return
+        # Per-device busy seconds this round added; members share the
+        # round's horizon on the devices they use.
+        delta = vec_metrics.compute_s + vec_metrics.memop_s
+        for dev in sorted(set(assignment)):
+            busy_until[dev] = max(busy_until[dev], now) + delta[dev]
+        total.merge(vec_metrics)
+        # De-multiplex: each member keeps its own assignment slice and
+        # completes when its own devices drain.
+        slices = split_assignment([t.vector for t in members], assignment)
+        for t, sl in zip(members, slices):
+            t.assignment = sl
+            t.devices = sorted(set(sl))
+            complete = max((busy_until[d] for d in t.devices), default=now)
+            pending[id(t)] = t
+            timeline.push(VectorCompletion(max(complete, now), t, epoch=t.epoch))
+
+    def _fault_summary(
+        self, injector: FaultInjector | None, report: LatencyReport
+    ) -> tuple[dict | None, list[dict]]:
+        """The finalized fault section and event log (``None``/empty without a plan)."""
+        if injector is None:
+            return None, []
+        injector.stats.finalize(report.makespan_s, self.cluster.num_devices)
+        return injector.stats.summary(), list(injector.stats.events)
+
+    def _pop_round(self, rt: NodeRuntime, now: float = 0.0) -> list[Ticket]:
+        """Pop the next scheduling round's members from ``rt``'s queue.
 
         With :attr:`ServeConfig.max_batch_vectors` at 1 this is a plain
         policy-order pop.  Otherwise the queue head anchors the round
@@ -1093,21 +1179,23 @@ class MiccoServer:
         """
         cfg = self.serve_config
         if cfg.max_batch_vectors <= 1:
-            nxt = queue.pop()
+            nxt = rt.queue.pop()
             return [nxt] if nxt is not None else []
-        # ``alive_ids`` returns the same cached list object until the
-        # alive set changes, so its identity keys the budget cache —
-        # steady-state rounds skip the per-device memory sum.
-        alive = self.cluster.alive_ids()
-        cache = getattr(self, "_budget_cache", None)
+        # ``ClusterState.alive_ids`` returns the same cached list object
+        # until the alive set changes, so its identity keys the budget
+        # cache — steady-state rounds skip the per-device memory sum.
+        alive = rt.view.alive_ids()
+        cache = rt.budget_cache
         if cache is not None and cache[0] is alive:
             budget = cache[1]
         else:
             budget = cfg.batch_memory_frac * sum(
                 self.cluster.devices[d].memory_bytes for d in alive
             )
-            self._budget_cache = (alive, budget)
-        return queue.pop_batch(cfg.max_batch_vectors, accept=self._batch_accept(budget, now))
+            rt.budget_cache = (alive, budget)
+        return rt.queue.pop_batch(
+            cfg.max_batch_vectors, accept=self._batch_accept(budget, now)
+        )
 
     def _batch_accept(self, budget: float, now: float):
         """Build the batch-membership predicate for one round assembly.
@@ -1194,85 +1282,107 @@ class MiccoServer:
         ``"auto"`` picks weighted-fair when tenants are configured
         (their weights seed the policy) and FIFO otherwise; explicit
         names and :class:`QueuePolicy` instances are honoured as-is.
-        With :attr:`ServeConfig.fault_aware_admission` the resolved
-        policy is wrapped in :class:`FaultAware` (unless it already is).
+        The single loop wraps the result in :class:`FaultAware` under
+        :attr:`ServeConfig.fault_aware_admission`; the sharded loop
+        deep-copies it per shard.
         """
-        cfg = self.serve_config
-        policy = cfg.queue_policy
-        if not isinstance(policy, QueuePolicy):
-            weights = {s.spec.name: s.spec.weight for s in streams if s.spec is not None}
-            if policy == "auto":
-                policy = "weighted" if weights else "fifo"
-            policy = WeightedFair(weights) if policy == "weighted" else make_policy(policy)
-        if cfg.fault_aware_admission and not isinstance(policy, FaultAware):
-            policy = FaultAware(policy, min_success_prob=cfg.admission_min_success)
-        return policy
+        policy = self.serve_config.queue_policy
+        if isinstance(policy, QueuePolicy):
+            return policy
+        weights = {s.spec.name: s.spec.weight for s in streams if s.spec is not None}
+        if policy == "auto":
+            policy = "weighted" if weights else "fifo"
+        return WeightedFair(weights) if policy == "weighted" else make_policy(policy)
 
     # ------------------------------------------------------------ autoscaling
-    def _shrink_to_initial(self, scaler: Autoscaler) -> None:
-        """Retire devices down to the autoscaler's initial pool size."""
-        c = scaler.config
+    def _shrink_to_initial(self, rt: NodeRuntime) -> None:
+        """Retire ``rt``'s devices down to the autoscaler's initial pool size."""
+        c = rt.scaler.config
+        view = rt.view
         target = max(
             c.min_devices,
             min(
                 c.initial_devices if c.initial_devices is not None else c.min_devices,
                 c.max_devices,
-                self.cluster.num_alive,
+                view.num_alive,
             ),
         )
-        while self.cluster.num_alive > target:
-            before = self.cluster.num_alive
-            self.cluster.retire_device(self.cluster.alive_ids()[-1])
-            self._rescale_bounds(before, self.cluster.num_alive)
+        while view.num_alive > target:
+            before = view.num_alive
+            self.cluster.retire_device(view.alive_ids()[-1])
+            self._rescale_bounds(rt, before, view.num_alive)
+
+    def _scale_up(
+        self,
+        rt: NodeRuntime,
+        now: float,
+        timeline: Timeline,
+        reason: str,
+        starts_cooldown: bool = True,
+    ) -> bool:
+        """Start warming up ``rt``'s lowest retired spare; ``False`` when none
+        is left or the pool (counting warm-ups) is at its device cap."""
+        c = rt.scaler.config
+        candidates = [
+            d for d in self.cluster.offline_ids()
+            if d in rt.devices and d not in rt.pending_online
+        ]
+        max_devices = min(c.max_devices, len(rt.devices))
+        if not candidates or rt.view.num_alive + len(rt.pending_online) >= max_devices:
+            return False
+        dev = candidates[0]
+        rt.pending_online.add(dev)
+        timeline.push(DeviceOnline(now + c.warmup_s, device=dev))
+        rt.scaler.log(
+            now, "up", dev, rt.view.num_alive,
+            reason=reason, starts_cooldown=starts_cooldown,
+        )
+        return True
 
     def _autoscale_step(
         self,
-        scaler: Autoscaler,
+        rt: NodeRuntime,
         now: float,
-        queue: AdmissionQueue,
         timeline: Timeline,
         pending: dict[int, Ticket],
-        pending_online: set[int],
         busy_until,
         total: ExecutionMetrics,
         injector: FaultInjector | None,
         abandon,
     ) -> None:
-        """Evaluate the autoscaler and apply its decision, if any."""
+        """Evaluate ``rt``'s autoscaler and apply its decision, if any.
+
+        Each runtime grows and shrinks only its own devices.
+        """
+        scaler = rt.scaler
         c = scaler.config
-        max_devices = min(c.max_devices, self.cluster.num_devices)
+        view = rt.view
         decision = scaler.decide(
             now,
-            queue_depth=len(queue),
-            num_alive=self.cluster.num_alive + len(pending_online),
+            queue_depth=len(rt.queue),
+            num_alive=view.num_alive + len(rt.pending_online),
         )
         if decision == "up":
-            candidates = [d for d in self.cluster.offline_ids() if d not in pending_online]
-            if not candidates or self.cluster.num_alive + len(pending_online) >= max_devices:
-                return
-            dev = candidates[0]
-            pending_online.add(dev)
-            timeline.push(DeviceOnline(now + c.warmup_s, device=dev))
-            scaler.log(
-                now, "up", dev, self.cluster.num_alive,
-                reason=f"queue depth {len(queue)}, warm-up {c.warmup_s:g}s",
+            self._scale_up(
+                rt, now, timeline,
+                rt.scoped(f"queue depth {len(rt.queue)}, warm-up {c.warmup_s:g}s"),
             )
         elif decision == "down":
             # Never shrink below the floor or while a warm-up is pending
             # (mixed signals: the queue says grow, the window says shrink).
-            if pending_online or self.cluster.num_alive <= c.min_devices:
+            if rt.pending_online or view.num_alive <= c.min_devices:
                 return
-            dev = self.cluster.alive_ids()[-1]
-            before = self.cluster.num_alive
+            dev = view.alive_ids()[-1]
+            before = view.num_alive
             self.cluster.retire_device(dev)
-            self._rescale_bounds(before, self.cluster.num_alive)
+            self._rescale_bounds(rt, before, view.num_alive)
             # Drain: in-flight pairs on the retiring device finish on the
             # survivors through the orphan-rescheduling path.
             moved = 0
             for ticket in [t for t in pending.values() if dev in set(t.assignment)]:
                 try:
                     complete = self._reschedule_orphans(
-                        ticket, dev, now, busy_until, total,
+                        rt, ticket, dev, now, busy_until, total,
                         stats=injector.stats if injector is not None else None,
                     )
                 except FaultError:
@@ -1282,20 +1392,19 @@ class MiccoServer:
                 timeline.push(VectorCompletion(complete, ticket, epoch=ticket.epoch))
                 moved += 1
             scaler.log(
-                now, "down", dev, self.cluster.num_alive,
-                reason=f"drained {moved} in-flight vectors",
+                now, "down", dev, view.num_alive,
+                reason=rt.scoped(f"drained {moved} in-flight vectors"),
             )
 
     def _bring_online(
         self,
+        rt: NodeRuntime,
         device: int,
         now: float,
-        scaler: Autoscaler | None,
-        pending_online: set[int],
         busy_until,
         injector: FaultInjector | None = None,
     ) -> None:
-        """A warm-up completed: the device joins the pool.
+        """A warm-up completed: the device joins ``rt``'s pool.
 
         Cold by default; with :attr:`ServeConfig.warm_restore` the
         residency journal is replayed onto it first (see
@@ -1303,23 +1412,23 @@ class MiccoServer:
         to the device's busy horizon — paid up front, off the next
         vectors' critical path.
         """
-        pending_online.discard(device)
+        rt.pending_online.discard(device)
         if self.cluster.is_failed(device) or self.cluster.is_alive(device):
             return  # lost while warming up, or a stale event
-        before = self.cluster.num_alive
+        before = rt.view.num_alive
         self.cluster.activate_device(device)
         busy_until[device] = now
         restored = 0
         if self.cluster.journal is not None:
             restored, cost = self._warm_restore(device, now, injector)
             busy_until[device] += cost
-        self._rescale_bounds(before, self.cluster.num_alive)
-        if scaler is not None:
+        self._rescale_bounds(rt, before, rt.view.num_alive)
+        if rt.scaler is not None:
             reason = "warm-up complete"
             if restored:
                 reason += f", {restored} tensors pre-warmed"
-            scaler.log(
-                now, "online", device, self.cluster.num_alive,
+            rt.scaler.log(
+                now, "online", device, rt.view.num_alive,
                 reason=reason, starts_cooldown=False,
             )
 
@@ -1369,11 +1478,13 @@ class MiccoServer:
                 )
         return restored, cost
 
-    def _rescale_bounds(self, alive_before: int, alive_after: int) -> None:
-        """Re-apply the reuse bounds after a pool-size change.
+    def _rescale_bounds(
+        self, rt: NodeRuntime, alive_before: int, alive_after: int
+    ) -> None:
+        """Re-apply ``rt``'s reuse bounds after a pool-size change.
 
         Rescaling always derives from the *anchor* — the (bounds, pool
-        size) pair captured when the run started — never by chaining
+        size) pair captured when the runtime was built — never by chaining
         ``rescaled()`` off the previous rescale's output.  Chained
         rescales compound float rounding: after a few shrink/grow
         cycles that return to the original pool size, the bounds end up
@@ -1392,13 +1503,13 @@ class MiccoServer:
         if (
             alive_before != alive_after
             and alive_after > 0
-            and self._bounds_anchor is not None
+            and rt.bounds_anchor is not None
         ):
-            bounds0, alive0 = self._bounds_anchor
+            bounds0, alive0 = rt.bounds_anchor
             if alive_after == alive0:
-                self.scheduler.set_bounds(bounds0)
+                rt.scheduler.set_bounds(bounds0)
             else:
-                self.scheduler.set_bounds(bounds0.rescaled(alive0, alive_after))
+                rt.scheduler.set_bounds(bounds0.rescaled(alive0, alive_after))
 
     # ------------------------------------------------------- fault recovery
     def _blast_radius(self, fault: FaultEvent) -> list[int]:
@@ -1473,35 +1584,43 @@ class MiccoServer:
         )
 
     def _restore_device(
-        self, device: int, now: float, busy_until, injector: FaultInjector | None
-    ) -> None:
-        """A flapped device comes back: rejoin the pool, cold (or warm).
+        self,
+        rt: NodeRuntime,
+        device: int,
+        now: float,
+        busy_until,
+        injector: FaultInjector | None,
+    ) -> bool:
+        """A flapped device comes back: rejoin ``rt``'s pool, cold (or warm).
 
         Mirrors :meth:`_bring_online` but for a *failed* device (flap
         cycles go down as failures, not retirements).  A device that is
         no longer marked failed is a stale event — an overlapping
         fail-stop loss or an earlier restore already settled it — and
-        is skipped: restores only resurrect flap victims.
+        is skipped: restores only resurrect flap victims.  Returns
+        whether the device rejoined.
         """
         if not self.cluster.is_failed(device):
-            return
-        before = self.cluster.num_alive
+            return False
+        before = rt.view.num_alive
         self.cluster.restore_device(device)
         busy_until[device] = now
         restored = 0
         if self.cluster.journal is not None:
             restored, cost = self._warm_restore(device, now, injector)
             busy_until[device] += cost
-        self._rescale_bounds(before, self.cluster.num_alive)
+        self._rescale_bounds(rt, before, rt.view.num_alive)
         if injector is not None:
             injector.note_device_restored(device, now)
             label = "node flap up"
             if restored:
                 label += f", {restored} tensors pre-warmed"
             injector.stats.record_event("restore", device, now, 0.0, label=label)
+        return True
 
     def _apply_device_loss(
         self,
+        rt: NodeRuntime,
         fault: FaultEvent,
         now: float,
         injector: FaultInjector,
@@ -1510,8 +1629,6 @@ class MiccoServer:
         timeline: Timeline,
         total: ExecutionMetrics,
         abandon,
-        scaler: Autoscaler | None = None,
-        pending_online: set[int] | None = None,
     ) -> list[int]:
         """Kill a failure domain and recover (or shed) the work it orphans.
 
@@ -1531,7 +1648,8 @@ class MiccoServer:
         pairs re-executed (recovery on) or is shed as
         ``fault-abandoned`` (recovery off).  With
         :attr:`AutoscalerConfig.replace_lost`, one replacement warm-up
-        is requested per lost device.
+        is requested per lost device (not for a flap: its devices come
+        back on their own).
         """
         kind = fault.kind.value
         flap = fault.kind is FaultKind.NODE_FLAP
@@ -1554,7 +1672,7 @@ class MiccoServer:
 
         # Recompute the reuse bounds for the survivors (a no-op once the
         # pool is empty).
-        self._rescale_bounds(alive_before, self.cluster.num_alive)
+        self._rescale_bounds(rt, alive_before, self.cluster.num_alive)
 
         dead = set(orphaned)
         affected = [t for t in pending.values() if dead & set(t.assignment)]
@@ -1571,7 +1689,7 @@ class MiccoServer:
             for ticket in affected:
                 try:
                     complete = self._reschedule_orphans(
-                        ticket, dead, now, busy_until, total, stats=injector.stats
+                        rt, ticket, dead, now, busy_until, total, stats=injector.stats
                     )
                 except FaultError:
                     abandon(ticket, now)
@@ -1588,55 +1706,37 @@ class MiccoServer:
                 label=f"rescheduled {len(affected)} vectors",
             )
 
-        if (
-            scaler is not None
-            and pending_online is not None
-            and scaler.config.replace_lost
-        ):
-            self._replace_lost(scaler, now, timeline, pending_online, len(orphaned))
+        if not flap and rt.scaler is not None and rt.scaler.config.replace_lost:
+            self._replace_lost(rt, now, timeline, len(orphaned))
         return sorted(orphaned)
 
     def _replace_lost(
-        self,
-        scaler: Autoscaler,
-        now: float,
-        timeline: Timeline,
-        pending_online: set[int],
-        count: int,
+        self, rt: NodeRuntime, now: float, timeline: Timeline, count: int
     ) -> None:
-        """Request one replacement warm-up per just-lost device.
+        """Request one replacement warm-up per device ``rt`` just lost.
 
         Reactive, so it bypasses the cooldown clock (a rack dying is not
         a load signal); replacements still pay ``warmup_s`` and stop at
-        ``max_devices`` or when the spare pool runs out.
+        ``max_devices`` or when ``rt``'s spare pool runs out.
         """
-        c = scaler.config
-        max_devices = min(c.max_devices, self.cluster.num_devices)
+        reason = rt.scoped(
+            f"replace lost device, warm-up {rt.scaler.config.warmup_s:g}s", sep=": "
+        )
         for _ in range(count):
-            candidates = [d for d in self.cluster.offline_ids() if d not in pending_online]
-            if not candidates or self.cluster.num_alive + len(pending_online) >= max_devices:
+            if not self._scale_up(rt, now, timeline, reason, starts_cooldown=False):
                 return
-            dev = candidates[0]
-            pending_online.add(dev)
-            timeline.push(DeviceOnline(now + c.warmup_s, device=dev))
-            scaler.log(
-                now, "up", dev, self.cluster.num_alive,
-                reason=f"replace lost device, warm-up {c.warmup_s:g}s",
-                starts_cooldown=False,
-            )
 
     def _reschedule_orphans(
         self,
+        rt: NodeRuntime,
         ticket: Ticket,
         dead: int | set[int],
         now: float,
         busy_until,
         total: ExecutionMetrics,
         stats: FaultStats | None = None,
-        scheduler: Scheduler | None = None,
-        cluster: ClusterState | None = None,
     ) -> float:
-        """Re-execute a ticket's dead-device pairs on the survivors.
+        """Re-execute a ticket's dead-device pairs on ``rt``'s survivors.
 
         ``dead`` is one device id (scale-down drain, single-device loss)
         or the whole failure domain of a node loss.  Shared by
@@ -1646,13 +1746,12 @@ class MiccoServer:
         original shares are already in ``busy_until``; only the
         re-executed pairs' busy time is appended.
 
-        ``scheduler``/``cluster`` override the server's own (default) —
-        the sharded control plane re-homes orphans through a *surviving
-        shard's* scheduler and shard-scoped cluster view, so recovered
-        pairs land only on that shard's devices.
+        Placement runs through ``rt``'s scheduler and view, so the
+        sharded control plane re-homes orphans only onto the chosen
+        shard's devices.
         """
-        scheduler = scheduler if scheduler is not None else self.scheduler
-        cluster = cluster if cluster is not None else self.cluster
+        scheduler = rt.scheduler
+        cluster = rt.view
         dead_set = {dead} if isinstance(dead, int) else set(dead)
         orphan_idx = [i for i, dev in enumerate(ticket.assignment) if dev in dead_set]
         vector = ticket.vector
@@ -1802,6 +1901,7 @@ class MiccoServer:
 
     def _quarantine_device(
         self,
+        rt: NodeRuntime,
         device: int,
         now: float,
         injector: FaultInjector | None,
@@ -1836,11 +1936,11 @@ class MiccoServer:
             return
         before = self.cluster.num_alive
         self.cluster.retire_device(device)
-        self._rescale_bounds(before, self.cluster.num_alive)
+        self._rescale_bounds(rt, before, self.cluster.num_alive)
         for ticket in [t for t in pending.values() if device in set(t.assignment)]:
             try:
                 complete = self._reschedule_orphans(
-                    ticket, device, now, busy_until, total,
+                    rt, ticket, device, now, busy_until, total,
                     stats=injector.stats if injector is not None else None,
                 )
             except FaultError:
@@ -1883,72 +1983,28 @@ class MiccoServer:
 
     # ---------------------------------------------------------------- helpers
     def _schedule_and_execute(
-        self, vector: VectorSpec, tracker: CharacteristicsTracker, wants_bounds: bool
+        self, rt: NodeRuntime, vector: VectorSpec, wants_bounds: bool
     ) -> tuple[ExecutionMetrics, list[int]]:
-        """One vector through the batch machinery; returns its metrics."""
+        """One (merged) round through ``rt``'s scheduler and view."""
+        scheduler = rt.scheduler
         if wants_bounds:
             # The tracker's running reuse statistics only feed the
             # bounds predictor, so without one the observation (an
             # O(pairs) uid scan per round) is skipped entirely.
-            chars = tracker.observe(vector)
-            self.scheduler.set_bounds(self.predictor.predict_bounds(chars))
-        cluster = self.cluster
-        cluster.begin_vector(vector.num_tensors)
-        self.scheduler.begin_vector(vector, cluster)
-        vec_metrics = ExecutionMetrics(num_devices=cluster.num_devices)
+            chars = rt.tracker.observe(vector)
+            scheduler.set_bounds(self.predictor.predict_bounds(chars))
+        view = rt.view
+        view.begin_vector(vector.num_tensors)
+        scheduler.begin_vector(vector, view)
+        vec_metrics = ExecutionMetrics(num_devices=self.cluster.num_devices)
         assignment: list[int] = []
-        choose = self.scheduler.choose
+        choose = scheduler.choose
         execute = self.engine.pair_runner()
         append = assignment.append
         for pair in vector.pairs:
-            dev = choose(pair, cluster)
+            dev = choose(pair, view)
             execute(pair, dev, vec_metrics)
             append(dev)
         if not self.config.keep_outputs:
             self.engine.drain_outputs(vector, assignment, vec_metrics)
         return vec_metrics, assignment
-
-
-class MultiTenantServer(MiccoServer):
-    """Multi-tenant mode of :class:`MiccoServer`.
-
-    The tenant roster lives in :attr:`ServeConfig.tenants`; each run
-    materialises every tenant's vectors and arrival times from the run
-    seed (independent per-tenant generators), interleaves them into one
-    simulated timeline, and admits via weighted fair queueing across
-    the tenants (unless :attr:`ServeConfig.queue_policy` overrides it —
-    handy for fairness baselines).  The result carries per-tenant
-    p50/p95/p99, throughput, drop rate and SLO attainment alongside the
-    global report.
-
-    Example
-    -------
-    >>> cfg = ServeConfig(tenants=(heavy, light), autoscaler=AutoscalerConfig())
-    >>> result = MultiTenantServer(MiccoScheduler(), serve=cfg).run(seed=0)
-    >>> result.summary()["tenants"]["heavy"]["slo"]["attained"]
-    """
-
-    def __init__(
-        self,
-        scheduler: Scheduler | None = None,
-        config: MiccoConfig | None = None,
-        serve: ServeConfig | None = None,
-        predictor=None,
-    ):
-        super().__init__(scheduler, config, serve, predictor)
-        if not self.serve_config.tenants:
-            raise ConfigurationError(
-                "MultiTenantServer needs ServeConfig.tenants; "
-                "use MiccoServer for single-stream serving"
-            )
-
-    def run(self, *, seed=0, reset: bool = True, faults: FaultPlan | None = None) -> ServeResult:
-        """Serve every tenant's stream on the shared cluster.
-
-        ``seed`` drives the per-tenant workload and arrival draws (and
-        makes the whole run — scheduling, scaling, percentiles —
-        replayable).  ``faults`` takes precedence over
-        :attr:`ServeConfig.faults`.
-        """
-        streams = build_streams(self.serve_config.tenants, seed)
-        return self._serve(streams, faults=faults, reset=reset)

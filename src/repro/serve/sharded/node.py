@@ -1,12 +1,15 @@
-"""Per-node local scheduling runtime for the sharded control plane.
+"""Per-device-set scheduling runtime shared by both serving loops.
 
-A :class:`NodeRuntime` is one node's slice of the serving machinery:
-its own bounded :class:`~repro.serve.queueing.AdmissionQueue`, its own
-copy of the placement scheduler (MICCO reuse-bound state is per-shard),
-and a :class:`ShardView` that scopes the shared
-:class:`~repro.gpusim.cluster.ClusterState` down to the node's devices.
-The runtime never sees other nodes' queues; coordination happens only
-through the digests it reports to the global tier
+A :class:`NodeRuntime` is one device set's slice of the serving
+machinery: its own bounded :class:`~repro.serve.queueing.AdmissionQueue`,
+its own placement scheduler, autoscaler and reuse-bound anchor, and a
+view of the shared :class:`~repro.gpusim.cluster.ClusterState`.  The
+single loop runs one runtime over every device, whose view is the
+cluster itself.  The sharded control plane runs one per topology node,
+each with its own scheduler copy (MICCO reuse-bound state is per-shard)
+and a :class:`ShardView` that scopes the cluster down to the node's
+devices.  A shard never sees other nodes' queues; coordination happens
+only through the digests it reports to the global tier
 (:meth:`NodeRuntime.digest`) on the configured sync interval.
 """
 
@@ -100,33 +103,38 @@ class NodeDigest:
 
 
 class NodeRuntime:
-    """One node's local scheduler: queue + placement over its devices.
+    """One device set's local scheduler: queue + placement over its devices.
 
     Parameters
     ----------
     node:
-        Topology node id (also the shard id).
+        Topology node id (also the shard id); ``None`` for the single
+        loop's runtime over every device.
     devices:
-        The node's device ids (from ``Topology.devices_of_node``).
+        The runtime's device ids (a shard's come from
+        ``Topology.devices_of_node``).
     view:
-        Shard-scoped cluster view the local scheduler places through.
+        Cluster view the local scheduler places through: a
+        :class:`ShardView` for a shard, the
+        :class:`~repro.gpusim.cluster.ClusterState` itself for the
+        single loop.
     scheduler:
-        This shard's *own* scheduler instance (per-shard reuse-bound
+        This runtime's *own* scheduler instance (per-shard reuse-bound
         state; never shared with other shards).
     queue:
-        This shard's bounded admission queue.
+        This runtime's bounded admission queue.
     tracker:
-        Per-shard workload-characteristics tracker (bounds prediction).
+        Workload-characteristics tracker (bounds prediction).
     scaler:
-        Optional per-shard autoscaler (the global config clamped to the
-        shard's device count).
+        Optional autoscaler (for a shard, the global config clamped to
+        the shard's device count).
     """
 
     def __init__(self, node, devices, view, scheduler, queue: AdmissionQueue,
                  tracker, scaler=None):
-        self.node = int(node)
+        self.node = node
         self.devices = tuple(sorted(int(d) for d in devices))
-        self.view: ShardView = view
+        self.view: ShardView | ClusterState = view
         self.scheduler = scheduler
         self.queue = queue
         self.tracker = tracker
@@ -159,8 +167,11 @@ class NodeRuntime:
         #: shard and not yet settled (the audit-side complement of the
         #: ``inflight`` round counter).
         self.inflight_tickets: dict[int, object] = {}
-        #: (bounds, alive-count) anchor for per-shard bound rescaling.
+        #: (bounds, alive-count) anchor for reuse-bound rescaling.
         self.bounds_anchor: tuple | None = None
+        #: (alive-id list, byte budget) of the last batched round; see
+        #: ``MiccoServer._pop_round``.
+        self.budget_cache: tuple | None = None
         # ----- counters for the report's sharding section -----
         #: Tickets placed on this shard (queued or directly dispatched).
         self.routed = 0
@@ -172,6 +183,10 @@ class NodeRuntime:
         self.drained_out = 0
         #: Speculative hedge clones placed on this shard.
         self.hedged_in = 0
+
+    def scoped(self, text: str, sep: str = " ") -> str:
+        """``text`` prefixed with the shard's name (autoscaler reasons)."""
+        return text if self.node is None else f"shard {self.node}{sep}{text}"
 
     # ------------------------------------------------------------------ digest
     def digest(self, now: float, linkless_devices=frozenset()) -> NodeDigest:

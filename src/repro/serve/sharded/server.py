@@ -48,8 +48,6 @@ from repro.faults.plan import FaultKind, FaultPlan
 from repro.gpusim.metrics import ExecutionMetrics
 from repro.integrity import IntegrityState
 from repro.schedulers.base import Scheduler
-from repro.schedulers.batching import merge_vectors, split_assignment
-from repro.serve.arrivals import ArrivalProcess, TraceArrivals
 from repro.serve.autoscale import Autoscaler
 from repro.serve.health import (
     AdaptiveHedgeDeadline,
@@ -58,14 +56,7 @@ from repro.serve.health import (
     HedgePair,
     hedge_shielded,
 )
-from repro.serve.queueing import (
-    AdmissionQueue,
-    FaultAware,
-    Fifo,
-    QueuePolicy,
-    WeightedFair,
-    make_policy,
-)
+from repro.serve.queueing import FaultAware, Fifo
 from repro.serve.server import MiccoServer, ServeConfig, ServeResult
 from repro.serve.sharded.node import NodeRuntime, ShardView
 from repro.serve.sharded.routing import RoutingPolicy, make_routing_policy
@@ -84,7 +75,6 @@ from repro.serve.timeline import (
     VectorCompletion,
 )
 from repro.tensor.spec import VectorSpec
-from repro.workloads.characteristics import CharacteristicsTracker
 
 #: Test hook invoked at the top of every :meth:`GlobalScheduler.sync`
 #: (before the digests refresh) with ``(router, now, unreachable)``.
@@ -352,52 +342,21 @@ class ShardedServer(MiccoServer):
     ) -> ServeResult:
         """Serve one stream (``vectors`` + ``arrivals``) or the tenant roster.
 
-        With :attr:`ServeConfig.tenants` configured the streams come
-        from the tenant specs (multi-tenant sharded serving) and
-        ``vectors``/``arrivals`` must be omitted; otherwise this
-        mirrors :meth:`MiccoServer.run`'s single-stream signature.
+        Same signature and errors as :meth:`MiccoServer.run`.
         """
-        if self.serve_config.tenants:
-            if vectors is not None or arrivals is not None:
-                raise ConfigurationError(
-                    "ServeConfig.tenants is set: streams come from the tenant "
-                    "specs, do not pass vectors/arrivals"
-                )
-            streams = build_streams(self.serve_config.tenants, seed)
-        else:
-            if not vectors:
-                raise ConfigurationError(
-                    "serving run needs at least one vector (or ServeConfig.tenants)"
-                )
-            if isinstance(arrivals, ArrivalProcess):
-                times = arrivals.arrival_times(len(vectors), seed)
-            else:
-                times = TraceArrivals(list(arrivals)).arrival_times(len(vectors))
-            streams = [TenantStream(spec=None, vectors=list(vectors), times=times)]
+        streams = self._streams(vectors, arrivals, seed, build_streams)
         return self._serve_sharded(streams, faults=faults, reset=reset, seed=seed)
 
-    # ----------------------------------------------------------- shard set-up
-    def _shard_policy(self, streams: list[TenantStream]) -> QueuePolicy:
-        """A fresh per-shard dispatch policy (never shared across shards).
+    def _build_shards(self, streams: list[TenantStream]) -> dict[int, NodeRuntime]:
+        """One :class:`NodeRuntime` per topology node.
 
-        Same resolution as the single loop's
-        :meth:`MiccoServer._resolve_policy`, minus the fault-aware wrap
-        — in sharded mode the :class:`FaultAware` gate runs once at the
-        global tier, before routing, so shed accounting is not split
-        across shards.
+        Each shard gets its own deep copy of the scheduler (per-shard
+        reuse-bound state) and of the dispatch policy.  In sharded mode
+        the :class:`FaultAware` gate runs once at the global tier,
+        before routing, so shed accounting is not split across shards.
         """
         cfg = self.serve_config
-        policy = cfg.queue_policy
-        if isinstance(policy, QueuePolicy):
-            return copy.deepcopy(policy)
-        weights = {s.spec.name: s.spec.weight for s in streams if s.spec is not None}
-        if policy == "auto":
-            policy = "weighted" if weights else "fifo"
-        return WeightedFair(weights) if policy == "weighted" else make_policy(policy)
-
-    def _build_shards(self, streams: list[TenantStream]) -> dict[int, NodeRuntime]:
-        """One :class:`NodeRuntime` per topology node."""
-        cfg = self.serve_config
+        policy = self._resolve_policy(streams)
         shards: dict[int, NodeRuntime] = {}
         for node in range(self.topology.num_nodes):
             devices = self.topology.devices_of_node(node)
@@ -417,14 +376,9 @@ class ShardedServer(MiccoServer):
                 scaler = Autoscaler(
                     c.with_(min_devices=min_d, max_devices=max_d, initial_devices=initial)
                 )
-            shards[node] = NodeRuntime(
-                node=node,
-                devices=devices,
-                view=ShardView(self.cluster, devices),
-                scheduler=copy.deepcopy(self.scheduler),
-                queue=AdmissionQueue(cfg.queue_capacity, self._shard_policy(streams)),
-                tracker=CharacteristicsTracker(),
-                scaler=scaler,
+            shards[node] = self._runtime(
+                node, devices, ShardView(self.cluster, devices),
+                copy.deepcopy(self.scheduler), copy.deepcopy(policy), scaler,
             )
         return shards
 
@@ -465,7 +419,7 @@ class ShardedServer(MiccoServer):
         #: repaired tickets skip a second audit (see VectorCompletion).
         verified: set[int] = set()
         # Fault-aware admission runs once at the global tier (the shard
-        # queues keep plain policies — see _shard_policy).
+        # queues keep plain policies — see _build_shards).
         gate = (
             FaultAware(Fifo(), min_success_prob=cfg.admission_min_success)
             if cfg.fault_aware_admission
@@ -530,29 +484,9 @@ class ShardedServer(MiccoServer):
                 (integ.ewma[d] for d in shards[node].devices), default=0.0
             )
 
-        # Per-shard reuse-bound anchors (each shard rescales its own
-        # scheduler's bounds from its own starting pool).
-        for shard in shards.values():
-            if (
-                self.predictor is None
-                and hasattr(shard.scheduler, "bounds")
-                and hasattr(shard.scheduler, "set_bounds")
-            ):
-                shard.bounds_anchor = (shard.scheduler.bounds, shard.view.num_alive)
-            if shard.scaler is not None:
-                self._shrink_shard_to_initial(shard)
-
-        for stream in streams:
-            tenant = stream.spec.name if stream.spec is not None else None
-            p99_target = stream.spec.slo.p99_s if stream.spec is not None else None
-            for t, v in zip(stream.times, stream.vectors):
-                deadline = t + p99_target if p99_target is not None else None
-                timeline.push(
-                    VectorArrival(
-                        t,
-                        Ticket(vector=v, arrival_s=t, tenant=tenant, deadline_s=deadline),
-                    )
-                )
+        # Shards with an autoscaler: the only ones the loop steps.
+        scaled = [shards[n] for n in sorted(shards) if shards[n].scaler is not None]
+        self._push_arrivals(timeline, streams)
 
         def linkless() -> frozenset[int]:
             return injector.linkless_devices if injector is not None else frozenset()
@@ -603,7 +537,7 @@ class ShardedServer(MiccoServer):
             if shard.dead or shard.view.num_alive == 0:
                 return
             while shard.inflight < cfg.max_inflight:
-                members = self._pop_shard_round(shard, now)
+                members = self._pop_round(shard, now)
                 if not members:
                     break
                 # Hedge losers cancelled while queued settle silently.
@@ -788,9 +722,8 @@ class ShardedServer(MiccoServer):
                         target = shards[target_node]
                         try:
                             complete = self._reschedule_orphans(
-                                ticket, by_shard[node], now, busy_until, total,
+                                target, ticket, by_shard[node], now, busy_until, total,
                                 stats=injector.stats,
-                                scheduler=target.scheduler, cluster=target.view,
                             )
                         except FaultError:
                             abandon(ticket, now)
@@ -805,7 +738,7 @@ class ShardedServer(MiccoServer):
                     # Partial loss: the shard recovers on its own
                     # survivors, with its own rescaled bounds.
                     alive_before = shard.view.num_alive + len(by_shard[node])
-                    self._rescale_shard_bounds(shard, alive_before, shard.view.num_alive)
+                    self._rescale_bounds(shard, alive_before, shard.view.num_alive)
                     affected = [
                         t for t in pending.values() if by_shard[node] & set(t.assignment)
                     ]
@@ -815,9 +748,8 @@ class ShardedServer(MiccoServer):
                             continue
                         try:
                             complete = self._reschedule_orphans(
-                                ticket, by_shard[node], now, busy_until, total,
+                                shard, ticket, by_shard[node], now, busy_until, total,
                                 stats=injector.stats,
-                                scheduler=shard.scheduler, cluster=shard.view,
                             )
                         except FaultError:
                             abandon(ticket, now)
@@ -830,9 +762,7 @@ class ShardedServer(MiccoServer):
                         shard.scaler is not None
                         and shard.scaler.config.replace_lost
                     ):
-                        self._replace_lost_shard(
-                            shard, now, timeline, len(by_shard[node])
-                        )
+                        self._replace_lost(shard, now, timeline, len(by_shard[node]))
             if cfg.recover_faults:
                 injector.stats.record_recovery(kind, latest - fault.time_s)
                 injector.stats.record_event(
@@ -883,9 +813,7 @@ class ShardedServer(MiccoServer):
                 whole_node = shard.view.num_alive == 0
                 if not whole_node:
                     alive_before = shard.view.num_alive + len(by_shard[node])
-                    self._rescale_shard_bounds(
-                        shard, alive_before, shard.view.num_alive
-                    )
+                    self._rescale_bounds(shard, alive_before, shard.view.num_alive)
                 affected = [
                     t for t in pending.values() if by_shard[node] & set(t.assignment)
                 ]
@@ -905,9 +833,8 @@ class ShardedServer(MiccoServer):
                         target = shard
                     try:
                         complete = self._reschedule_orphans(
-                            ticket, by_shard[node], now, busy_until, total,
+                            target, ticket, by_shard[node], now, busy_until, total,
                             stats=injector.stats,
-                            scheduler=target.scheduler, cluster=target.view,
                         )
                     except FaultError:
                         abandon(ticket, now)
@@ -985,14 +912,13 @@ class ShardedServer(MiccoServer):
                 return
             before = shard.view.num_alive
             self.cluster.retire_device(dev)
-            self._rescale_shard_bounds(shard, before, shard.view.num_alive)
+            self._rescale_bounds(shard, before, shard.view.num_alive)
             affected = [t for t in pending.values() if dev in set(t.assignment)]
             for ticket in sorted(affected, key=lambda t: t.vector.vector_id):
                 try:
                     complete = self._reschedule_orphans(
-                        ticket, {dev}, now, busy_until, total,
+                        shard, ticket, {dev}, now, busy_until, total,
                         stats=injector.stats,
-                        scheduler=shard.scheduler, cluster=shard.view,
                     )
                 except FaultError:
                     abandon(ticket, now)
@@ -1031,11 +957,12 @@ class ShardedServer(MiccoServer):
                 if integ is not None:
                     for dev in integ.poll_quarantines():
                         quarantine_blamed(dev, now)
-                for node in sorted(shards):
-                    self._autoscale_shard_step(
-                        shards[node], now, timeline, pending, busy_until,
-                        total, injector, abandon,
-                    )
+                for shard in scaled:
+                    if not shard.dead:
+                        self._autoscale_step(
+                            shard, now, timeline, pending, busy_until, total,
+                            injector, abandon,
+                        )
                 ticket = event.ticket
 
                 if isinstance(event, DigestSync):
@@ -1046,26 +973,7 @@ class ShardedServer(MiccoServer):
                         timeline.push(DigestSync(now + cfg.sync_interval_s))
 
                 elif isinstance(event, VectorArrival):
-                    if gate is not None:
-                        fault_events = 0
-                        if injector is not None:
-                            s = injector.stats
-                            fault_events = (
-                                s.transient_failures
-                                + s.device_losses
-                                + s.transfer_refetches
-                            )
-                        gate.observe(
-                            now, fault_events,
-                            self.cluster.num_alive, self.cluster.num_devices,
-                        )
-                    if self.cluster.num_alive == 0:
-                        report.add_drop(ticket, reason="fault-abandoned")
-                    elif gate is not None and not gate.admit(ticket, now):
-                        report.add_drop(ticket, reason="predicted-infeasible")
-                        if injector is not None:
-                            injector.stats.predicted_infeasible += 1
-                    else:
+                    if self._admit(ticket, now, gate, injector, report):
                         place(ticket, now)
 
                 elif isinstance(event, SchedulingDone):
@@ -1098,29 +1006,10 @@ class ShardedServer(MiccoServer):
                         if t.cancelled:
                             settle(t, now)
                     members = [t for t in members if not t.cancelled]
-                    if not members:
-                        continue
-                    merged = merge_vectors([t.vector for t in members])
-                    try:
-                        vec_metrics, assignment = self._schedule_on_shard(
-                            merged, shard, wants_bounds
-                        )
-                    except FaultError:
-                        for t in members:
-                            abandon(t, now)
-                        continue
-                    delta = vec_metrics.compute_s + vec_metrics.memop_s
-                    for dev in sorted(set(assignment)):
-                        busy_until[dev] = max(busy_until[dev], now) + delta[dev]
-                    total.merge(vec_metrics)
-                    slices = split_assignment([t.vector for t in members], assignment)
-                    for t, sl in zip(members, slices):
-                        t.assignment = sl
-                        t.devices = sorted(set(sl))
-                        complete = max((busy_until[d] for d in t.devices), default=now)
-                        pending[id(t)] = t
-                        timeline.push(
-                            VectorCompletion(max(complete, now), t, epoch=t.epoch)
+                    if members:
+                        self._execute_round(
+                            shard, members, now, wants_bounds, busy_until, total,
+                            pending, timeline, abandon,
                         )
 
                 elif isinstance(event, VectorCompletion):
@@ -1191,25 +1080,11 @@ class ShardedServer(MiccoServer):
                                 settle(loser, now)
 
                 elif isinstance(event, DeviceRestore):
-                    dev = event.device
-                    shard = shards[topo.node_of(dev)]
-                    if shard.dead or not self.cluster.is_failed(dev):
-                        continue
-                    before = shard.view.num_alive
-                    self.cluster.restore_device(dev)
-                    busy_until[dev] = now
-                    restored = 0
-                    if self.cluster.journal is not None:
-                        restored, cost = self._warm_restore(dev, now, injector)
-                        busy_until[dev] += cost
-                    self._rescale_shard_bounds(shard, before, shard.view.num_alive)
-                    if injector is not None:
-                        injector.note_device_restored(dev, now)
-                        label = "node flap up"
-                        if restored:
-                            label += f", {restored} tensors pre-warmed"
-                        injector.stats.record_event("restore", dev, now, 0.0, label=label)
-                    refill(shard, now)
+                    shard = shards[topo.node_of(event.device)]
+                    if not shard.dead and self._restore_device(
+                        shard, event.device, now, busy_until, injector
+                    ):
+                        refill(shard, now)
 
                 elif isinstance(event, HealthTick):
                     silent = (
@@ -1296,20 +1171,14 @@ class ShardedServer(MiccoServer):
 
                 elif isinstance(event, DeviceOnline):
                     shard = shards[topo.node_of(event.device)]
-                    if shard.dead:
-                        continue
-                    self._bring_online_shard(shard, event.device, now, busy_until, injector)
+                    if not shard.dead:
+                        self._bring_online(shard, event.device, now, busy_until, injector)
         finally:
             self.engine.injector = None
             self.engine.integrity = None
             self.cluster.journal = None
 
-        fault_summary = None
-        fault_events: list[dict] = []
-        if injector is not None:
-            injector.stats.finalize(report.makespan_s, self.cluster.num_devices)
-            fault_summary = injector.stats.summary()
-            fault_events = list(injector.stats.events)
+        fault_summary, fault_events = self._fault_summary(injector, report)
         specs = [s.spec for s in streams if s.spec is not None]
         ordered = [shards[n] for n in sorted(shards)]
         queue_counters = {
@@ -1430,194 +1299,3 @@ class ShardedServer(MiccoServer):
             routing=routing_summary,
             routing_events=routing_events,
         )
-
-    # ------------------------------------------------------- per-shard pieces
-    def _pop_shard_round(self, shard: NodeRuntime, now: float) -> list[Ticket]:
-        """Per-shard round assembly (same rules, shard-local budget)."""
-        cfg = self.serve_config
-        if cfg.max_batch_vectors <= 1:
-            nxt = shard.queue.pop()
-            return [nxt] if nxt is not None else []
-        budget = cfg.batch_memory_frac * sum(
-            self.cluster.devices[d].memory_bytes for d in shard.view.alive_ids()
-        )
-        return shard.queue.pop_batch(
-            cfg.max_batch_vectors, accept=self._batch_accept(budget, now)
-        )
-
-    def _schedule_on_shard(
-        self, vector: VectorSpec, shard: NodeRuntime, wants_bounds: bool
-    ) -> tuple[ExecutionMetrics, list[int]]:
-        """One merged round through the shard's scheduler and view."""
-        # Characteristics tracking is only needed to feed the predictor;
-        # skip the per-vector observation sweep when no one consumes it.
-        if wants_bounds:
-            chars = shard.tracker.observe(vector)
-            shard.scheduler.set_bounds(self.predictor.predict_bounds(chars))
-        shard.view.begin_vector(vector.num_tensors)
-        shard.scheduler.begin_vector(vector, shard.view)
-        vec_metrics = ExecutionMetrics(num_devices=self.cluster.num_devices)
-        assignment: list[int] = []
-        for pair in vector.pairs:
-            dev = shard.scheduler.choose(pair, shard.view)
-            self.engine.execute_pair(pair, dev, vec_metrics)
-            assignment.append(dev)
-        if not self.config.keep_outputs:
-            self.engine.drain_outputs(vector, assignment, vec_metrics)
-        return vec_metrics, assignment
-
-    def _rescale_shard_bounds(self, shard: NodeRuntime, before: int, after: int) -> None:
-        """Per-shard analogue of :meth:`MiccoServer._rescale_bounds`.
-
-        ``before == 0`` is allowed (a fully-flapped shard restoring its
-        first device): the rescale target only needs the anchor and the
-        *new* alive count.
-        """
-        if (
-            before != after
-            and after > 0
-            and shard.bounds_anchor is not None
-        ):
-            bounds0, alive0 = shard.bounds_anchor
-            if after == alive0:
-                shard.scheduler.set_bounds(bounds0)
-            else:
-                shard.scheduler.set_bounds(bounds0.rescaled(alive0, after))
-
-    def _shrink_shard_to_initial(self, shard: NodeRuntime) -> None:
-        """Retire shard devices down to the clamped initial pool size."""
-        c = shard.scaler.config
-        target = max(
-            c.min_devices,
-            min(
-                c.initial_devices if c.initial_devices is not None else c.min_devices,
-                c.max_devices,
-                shard.view.num_alive,
-            ),
-        )
-        while shard.view.num_alive > target:
-            before = shard.view.num_alive
-            self.cluster.retire_device(shard.view.alive_ids()[-1])
-            self._rescale_shard_bounds(shard, before, shard.view.num_alive)
-
-    def _shard_offline(self, shard: NodeRuntime) -> list[int]:
-        """The shard's retired (re-activatable) devices, id order."""
-        return [
-            d
-            for d in shard.devices
-            if not self.cluster.is_alive(d)
-            and not self.cluster.is_failed(d)
-            and d not in shard.pending_online
-        ]
-
-    def _autoscale_shard_step(
-        self,
-        shard: NodeRuntime,
-        now: float,
-        timeline: Timeline,
-        pending: dict[int, Ticket],
-        busy_until,
-        total: ExecutionMetrics,
-        injector: FaultInjector | None,
-        abandon,
-    ) -> None:
-        """Per-shard scaling: each shard grows/shrinks only its own devices."""
-        if shard.dead or shard.scaler is None:
-            return
-        c = shard.scaler.config
-        decision = shard.scaler.decide(
-            now,
-            queue_depth=len(shard.queue),
-            num_alive=shard.view.num_alive + len(shard.pending_online),
-        )
-        if decision == "up":
-            candidates = self._shard_offline(shard)
-            if (
-                not candidates
-                or shard.view.num_alive + len(shard.pending_online) >= c.max_devices
-            ):
-                return
-            dev = candidates[0]
-            shard.pending_online.add(dev)
-            timeline.push(DeviceOnline(now + c.warmup_s, device=dev))
-            shard.scaler.log(
-                now, "up", dev, shard.view.num_alive,
-                reason=f"shard {shard.node} queue depth {len(shard.queue)}, "
-                f"warm-up {c.warmup_s:g}s",
-            )
-        elif decision == "down":
-            if shard.pending_online or shard.view.num_alive <= c.min_devices:
-                return
-            dev = shard.view.alive_ids()[-1]
-            before = shard.view.num_alive
-            self.cluster.retire_device(dev)
-            self._rescale_shard_bounds(shard, before, shard.view.num_alive)
-            moved = 0
-            for ticket in [t for t in pending.values() if dev in set(t.assignment)]:
-                try:
-                    complete = self._reschedule_orphans(
-                        ticket, dev, now, busy_until, total,
-                        stats=injector.stats if injector is not None else None,
-                        scheduler=shard.scheduler, cluster=shard.view,
-                    )
-                except FaultError:
-                    abandon(ticket, now)
-                    continue
-                ticket.epoch += 1
-                timeline.push(VectorCompletion(complete, ticket, epoch=ticket.epoch))
-                moved += 1
-            shard.scaler.log(
-                now, "down", dev, shard.view.num_alive,
-                reason=f"shard {shard.node} drained {moved} in-flight vectors",
-            )
-
-    def _bring_online_shard(
-        self,
-        shard: NodeRuntime,
-        device: int,
-        now: float,
-        busy_until,
-        injector: FaultInjector | None,
-    ) -> None:
-        """A shard device finished warming up (per-shard ``_bring_online``)."""
-        shard.pending_online.discard(device)
-        if self.cluster.is_failed(device) or self.cluster.is_alive(device):
-            return
-        before = shard.view.num_alive
-        self.cluster.activate_device(device)
-        busy_until[device] = now
-        restored = 0
-        if self.cluster.journal is not None:
-            restored, cost = self._warm_restore(device, now, injector)
-            busy_until[device] += cost
-        self._rescale_shard_bounds(shard, before, shard.view.num_alive)
-        if shard.scaler is not None:
-            reason = "warm-up complete"
-            if restored:
-                reason += f", {restored} tensors pre-warmed"
-            shard.scaler.log(
-                now, "online", device, shard.view.num_alive,
-                reason=reason, starts_cooldown=False,
-            )
-
-    def _replace_lost_shard(
-        self, shard: NodeRuntime, now: float, timeline: Timeline, count: int
-    ) -> None:
-        """One replacement warm-up per lost device, from the shard's spares."""
-        c = shard.scaler.config
-        for _ in range(count):
-            candidates = self._shard_offline(shard)
-            if (
-                not candidates
-                or shard.view.num_alive + len(shard.pending_online) >= c.max_devices
-            ):
-                return
-            dev = candidates[0]
-            shard.pending_online.add(dev)
-            timeline.push(DeviceOnline(now + c.warmup_s, device=dev))
-            shard.scaler.log(
-                now, "up", dev, shard.view.num_alive,
-                reason=f"shard {shard.node}: replace lost device, "
-                f"warm-up {c.warmup_s:g}s",
-                starts_cooldown=False,
-            )

@@ -11,7 +11,6 @@ from repro.gpusim.device import GIB
 from repro.schedulers.micco import MiccoScheduler
 from repro.serve import (
     MiccoServer,
-    MultiTenantServer,
     PoissonArrivals,
     ServeConfig,
     ShardedServer,
@@ -54,8 +53,9 @@ class TestDispatch:
         assert type(server) is MiccoServer
 
     def test_tenants_select_multi_tenant(self):
+        # The single loop serves the tenant roster itself.
         server = make_server(tenant_cfg(), cluster=CONFIG)
-        assert type(server) is MultiTenantServer
+        assert type(server) is MiccoServer
 
     def test_sharded_selects_sharded(self):
         server = make_server(ServeConfig(sharded=True), cluster=sharded_cluster())
@@ -126,8 +126,6 @@ class TestDeprecation:
     def test_direct_construction_warns(self):
         with pytest.warns(DeprecationWarning, match="MiccoServer"):
             MiccoServer(config=CONFIG)
-        with pytest.warns(DeprecationWarning, match="MultiTenantServer"):
-            MultiTenantServer(config=CONFIG, serve=tenant_cfg())
         with pytest.warns(DeprecationWarning, match="ShardedServer"):
             ShardedServer(
                 config=sharded_cluster(), serve=ServeConfig(sharded=True)

@@ -9,10 +9,10 @@ from repro.serve import (
     AutoscalerConfig,
     BurstyArrivals,
     MiccoServer,
-    MultiTenantServer,
     PoissonArrivals,
     ServeConfig,
     TenantSpec,
+    make_server,
 )
 from repro.workloads import SyntheticWorkload, WorkloadParams
 
@@ -168,7 +168,7 @@ class TestAutoscaledServing:
             ),
         )
         cfg = ServeConfig(tenants=tenants, autoscaler=burst_config())
-        server = MultiTenantServer(config=MiccoConfig(num_devices=4), serve=cfg)
+        server = make_server(cfg, cluster=MiccoConfig(num_devices=4))
         r1 = server.run(seed=1)
         r2 = server.run(seed=1)
         assert r1.summary() == r2.summary()

@@ -21,7 +21,7 @@ from repro.schedulers.batching import (
 )
 from repro.schedulers.bounds import ReuseBounds
 from repro.schedulers.micco import MiccoScheduler
-from repro.serve import MiccoServer, PoissonArrivals, ServeConfig
+from repro.serve import Fifo, MiccoServer, PoissonArrivals, ServeConfig, ShardView
 from repro.workloads import SyntheticWorkload, WorkloadParams
 
 MIB = 1024**2
@@ -216,37 +216,48 @@ class TestBatchFaultDemux:
         )
 
 
+def anchored_runtimes(anchor):
+    """The single loop's runtime, whose view is the cluster itself, and a
+    ShardView-backed shard runtime, each with its reuse bounds anchored
+    at ``anchor``."""
+    server = make_server(ServeConfig())
+    cluster = server.cluster
+    shard = ShardView(cluster, range(2))
+    for node, devices, view in ((None, range(4), cluster), (0, range(2), shard)):
+        rt = server._runtime(
+            node, devices, view, MiccoScheduler(ReuseBounds(0, 4, 0)), Fifo(), None
+        )
+        rt.bounds_anchor = anchor
+        yield server, rt
+
+
 class TestRescaleAnchoring:
     """Repeated pool changes must not drift the reuse bounds."""
 
     def test_round_trip_restores_exact_bounds(self):
-        server = make_server(ServeConfig())
-        server._bounds_anchor = (ReuseBounds(1, 3, 5), 8)
-        # 8 -> 7 -> 5 -> 8: back at the anchor size, bit-exact bounds.
-        server._rescale_bounds(8, 7)
-        server._rescale_bounds(7, 5)
-        server._rescale_bounds(5, 8)
-        assert server.scheduler.bounds == ReuseBounds(1, 3, 5)
+        for server, rt in anchored_runtimes((ReuseBounds(1, 3, 5), 8)):
+            # 8 -> 7 -> 5 -> 8: back at the anchor size, bit-exact bounds.
+            server._rescale_bounds(rt, 8, 7)
+            server._rescale_bounds(rt, 7, 5)
+            server._rescale_bounds(rt, 5, 8)
+            assert rt.scheduler.bounds == ReuseBounds(1, 3, 5)
 
     def test_chained_cycles_equal_single_rescale(self):
         anchor = (ReuseBounds(1, 3, 5), 8)
-        walked = make_server(ServeConfig())
-        walked._bounds_anchor = anchor
         sizes = [8, 7, 3, 6, 8, 2, 5, 8, 3]
-        for before, after in zip(sizes, sizes[1:]):
-            walked._rescale_bounds(before, after)
-        direct = make_server(ServeConfig())
-        direct._bounds_anchor = anchor
-        direct._rescale_bounds(8, sizes[-1])
-        assert walked.scheduler.bounds == direct.scheduler.bounds
+        pairs = zip(anchored_runtimes(anchor), anchored_runtimes(anchor))
+        for (server, walked), (_, direct) in pairs:
+            for before, after in zip(sizes, sizes[1:]):
+                server._rescale_bounds(walked, before, after)
+            server._rescale_bounds(direct, 8, sizes[-1])
+            assert walked.scheduler.bounds == direct.scheduler.bounds
 
     def test_idempotent_per_target_size(self):
-        server = make_server(ServeConfig())
-        server._bounds_anchor = (ReuseBounds(0, 4, 0), 4)
-        server._rescale_bounds(4, 3)
-        once = server.scheduler.bounds
-        server._rescale_bounds(4, 3)  # same transition again
-        assert server.scheduler.bounds == once
+        for server, rt in anchored_runtimes((ReuseBounds(0, 4, 0), 4)):
+            server._rescale_bounds(rt, 4, 3)
+            once = rt.scheduler.bounds
+            server._rescale_bounds(rt, 4, 3)  # same transition again
+            assert rt.scheduler.bounds == once
 
     def test_loss_then_restore_recovers_seed_bounds_end_to_end(self):
         # A run that loses a device still rescales from the anchor, so

@@ -99,6 +99,41 @@ class TestLifecycle:
             assert all(0 <= d < CONFIG.num_devices for d in r.devices)
 
 
+class TestSingleLoopRuntime:
+    def test_unsharded_run_constructs_no_shard_view(self, monkeypatch):
+        # The single loop's runtime places through the ClusterState
+        # itself: no ShardView attribute delegation on its hot path.
+        from repro.gpusim import CostModel, Topology
+        from repro.serve import AutoscalerConfig, ShardView, serve
+
+        built = []
+        init = ShardView.__init__
+
+        def counting_init(view, *args, **kwargs):
+            built.append(view)
+            init(view, *args, **kwargs)
+
+        monkeypatch.setattr(ShardView, "__init__", counting_init)
+        cfg = ServeConfig(
+            max_batch_vectors=4,
+            autoscaler=AutoscalerConfig(
+                min_devices=1, max_devices=2, initial_devices=1,
+                up_queue_depth=1, warmup_s=1e-3,
+            ),
+        )
+        result = make_server(serve=cfg).run(stream(), PoissonArrivals(20_000.0), seed=0)
+        assert result.autoscale["scale_ups"] >= 1
+        assert built == []
+        # Control: the sharded loop builds one view per node.
+        topo = Topology(num_devices=4, devices_per_node=2)
+        serve(
+            cfg.with_(sharded=True),
+            cluster=MiccoConfig(num_devices=4, cost_model=CostModel(topology=topo)),
+            vectors=stream(), arrivals=PoissonArrivals(2000.0), seed=0,
+        )
+        assert len(built) == 2
+
+
 class TestArrivalsInput:
     def test_explicit_timestamps(self):
         vectors = stream(num_vectors=3)

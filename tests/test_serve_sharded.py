@@ -372,18 +372,18 @@ class TestDeadlineAwareBatching:
         return sum(sizes) / len(sizes)
 
     def test_tight_deadlines_cut_rounds_short(self):
-        from repro.serve import MultiTenantServer
+        from repro.serve import serve
 
-        tight = MultiTenantServer(
-            MiccoScheduler(ReuseBounds(0, 4, 0)),
-            MiccoConfig(num_devices=4, memory_bytes=64 * MIB),
+        tight = serve(
             self.two_tenant_serve(p99_s=0.05),
-        ).run(seed=0)
-        loose = MultiTenantServer(
-            MiccoScheduler(ReuseBounds(0, 4, 0)),
-            MiccoConfig(num_devices=4, memory_bytes=64 * MIB),
+            cluster=MiccoConfig(num_devices=4, memory_bytes=64 * MIB),
+            scheduler=MiccoScheduler(ReuseBounds(0, 4, 0)),
+        )
+        loose = serve(
             self.two_tenant_serve(p99_s=60.0),
-        ).run(seed=0)
+            cluster=MiccoConfig(num_devices=4, memory_bytes=64 * MIB),
+            scheduler=MiccoScheduler(ReuseBounds(0, 4, 0)),
+        )
         assert self.mean_round_size(tight) < self.mean_round_size(loose)
 
     def test_no_deadline_never_constrains_growth(self):
