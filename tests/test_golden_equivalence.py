@@ -67,14 +67,11 @@ class FixedPredictor:
         return ReuseBounds(0, 3, 0)
 
 
-def micco():
-    return MiccoScheduler(ReuseBounds(0, 4, 0))
-
-
 def run_stream(cfg, cluster, *, n=24, rate=4_000.0, predictor=None):
     """One single-stream run of ``stream(n)`` at ``rate`` vectors/s."""
     return serve(
-        cfg, cluster=cluster, scheduler=micco(), predictor=predictor,
+        cfg, cluster=cluster, scheduler=MiccoScheduler(ReuseBounds(0, 4, 0)),
+        predictor=predictor,
         vectors=stream(n), arrivals=PoissonArrivals(rate), seed=SEED,
     )
 
@@ -102,12 +99,7 @@ def run_mode(mode: str):
     reset_uid_counter()
     if mode == "single":
         cfg = ServeConfig(queue_capacity=16)
-        cluster = MiccoConfig(num_devices=4, memory_bytes=64 * MIB)
-        return serve(
-            cfg, cluster=cluster,
-            scheduler=MiccoScheduler(ReuseBounds(0, 4, 0)),
-            vectors=stream(), arrivals=PoissonArrivals(4_000.0), seed=SEED,
-        )
+        return run_stream(cfg, MiccoConfig(num_devices=4, memory_bytes=64 * MIB))
     if mode == "tenants":
         cfg = ServeConfig(queue_capacity=32, tenants=tenant_roster())
         cluster = MiccoConfig(num_devices=4, memory_bytes=2 * GIB)
@@ -124,25 +116,14 @@ def run_mode(mode: str):
         # audit recomputation and blame must replay identically through
         # both cores (the integrity layer draws no RNG state — every
         # decision is a counter hash).
-        plan = integrity_plan(4)
         cfg = ServeConfig(
-            queue_capacity=16, faults=plan,
+            queue_capacity=16, faults=integrity_plan(4),
             integrity=IntegrityConfig(mode="spot", audit_fraction=0.3),
         )
-        cluster = MiccoConfig(num_devices=4, memory_bytes=64 * MIB)
-        return serve(
-            cfg, cluster=cluster,
-            scheduler=MiccoScheduler(ReuseBounds(0, 4, 0)),
-            vectors=stream(), arrivals=PoissonArrivals(4_000.0),
-            seed=SEED,
-        )
+        return run_stream(cfg, MiccoConfig(num_devices=4, memory_bytes=64 * MIB))
     if mode == "sharded":
         cfg = ServeConfig(sharded=True, routing="residency-affinity")
-        return serve(
-            cfg, cluster=sharded_cluster(),
-            scheduler=MiccoScheduler(ReuseBounds(0, 4, 0)),
-            vectors=stream(), arrivals=PoissonArrivals(4_000.0), seed=SEED,
-        )
+        return run_stream(cfg, sharded_cluster())
     if mode == "learned":
         # Learned routing adds an RNG stream (the exploration draws) and
         # online regression on completion latencies; both must replay
@@ -153,11 +134,7 @@ def run_mode(mode: str):
             explore_floor=0.1, min_samples=6, refit_interval=4,
             health=HealthConfig(),
         )
-        return serve(
-            cfg, cluster=sharded_cluster(),
-            scheduler=MiccoScheduler(ReuseBounds(0, 4, 0)),
-            vectors=stream(), arrivals=PoissonArrivals(4_000.0), seed=SEED,
-        )
+        return run_stream(cfg, sharded_cluster())
     # ---- modes below run only against the on-disk golden manifest ----
     if mode == "sharded-least-loaded":
         cfg = ServeConfig(sharded=True, routing="least-loaded")
