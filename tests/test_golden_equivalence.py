@@ -43,11 +43,11 @@ def stream(n=24, seed=3):
     return SyntheticWorkload(params, seed=seed).vectors()
 
 
-def tenant_roster():
-    spec = WorkloadParams(vector_size=8, tensor_size=64, num_vectors=12, batch=2)
+def tenant_roster(n=12, rate=8_000.0):
+    spec = WorkloadParams(vector_size=8, tensor_size=64, num_vectors=n, batch=2)
     return (
-        TenantSpec("heavy", PoissonArrivals(8_000.0), spec, weight=3.0),
-        TenantSpec("light", PoissonArrivals(4_000.0), spec, weight=1.0),
+        TenantSpec("heavy", PoissonArrivals(rate), spec, weight=3.0),
+        TenantSpec("light", PoissonArrivals(rate / 2), spec, weight=1.0),
     )
 
 
@@ -84,9 +84,9 @@ def integrity_plan(num_devices):
     )
 
 
-def flap(device, time_s=0.002):
+def flap(device, time_s=0.002, duration_s=0.001, count=2):
     return FaultEvent(
-        FaultKind.NODE_FLAP, time_s, device, duration_s=0.001, count=2
+        FaultKind.NODE_FLAP, time_s, device, duration_s=duration_s, count=count
     )
 
 
@@ -211,6 +211,31 @@ def run_mode(mode: str):
         )
         cluster = MiccoConfig(num_devices=4, memory_bytes=64 * MIB)
         return run_stream(cfg, cluster, n=40)
+    if mode in ("tenant-loss", "sharded-tenant-loss"):
+        # Two tenants, several rounds in flight per pool, a device loss
+        # and then a node loss: several tickets are orphaned at once, so
+        # this pins the order their pairs re-execute in (pending-insertion
+        # order in the single loop, vector-id order in the sharded one).
+        # Each loop gets the variant whose orphan order shows in bytes.
+        sharded = mode == "sharded-tenant-loss"
+        inflight, lost, node_member = (2, 7, 2) if sharded else (3, 5, 6)
+        plan = FaultPlan((
+            FaultEvent(FaultKind.DEVICE_LOST, 0.001, lost),
+            FaultEvent(FaultKind.NODE_LOST, 0.003, node_member),
+        ))
+        cfg = ServeConfig(
+            queue_capacity=32, tenants=tenant_roster(16, 20_000.0),
+            max_inflight=inflight, max_batch_vectors=2, faults=plan,
+            sharded=sharded,
+        )
+        return serve(cfg, cluster=sharded_cluster(), seed=SEED)
+    if mode == "single-pool-empty":
+        # Both nodes flap down together while tickets are queued: the
+        # single loop keeps dispatching into the empty pool (and sheds
+        # those rounds) and does not refill when the devices return.
+        plan = FaultPlan((flap(1, 0.002, 0.002, 1), flap(6, 0.002, 0.002, 1)))
+        cfg = ServeConfig(faults=plan)
+        return run_stream(cfg, sharded_cluster(), rate=20_000.0)
     if mode == "sharded-integrity":
         cfg = ServeConfig(
             sharded=True, faults=integrity_plan(8),

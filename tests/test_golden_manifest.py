@@ -25,7 +25,11 @@ MANIFEST_PATH = Path(__file__).parent / "golden" / "manifest.json"
 #: single-loop and sharded-loop control path at least once: bounds
 #: rescaling, autoscaling (initial shrink, scale up/down, warm-up,
 #: loss replacement), batching, flap restores, node loss, blame
-#: quarantine, health + hedging and every routing policy.
+#: quarantine, health + hedging and every routing policy.  The last
+#: three pin where the two loops still differ: the order orphaned
+#: tickets re-execute in (``tenant-loss``, ``sharded-tenant-loss``) and
+#: whether a pool with no alive device keeps dispatching
+#: (``single-pool-empty``).
 GOLDEN_MODES = (
     "single",
     "tenants",
@@ -44,6 +48,9 @@ GOLDEN_MODES = (
     "sharded-autoscale",
     "sharded-flap",
     "sharded-integrity",
+    "tenant-loss",
+    "sharded-tenant-loss",
+    "single-pool-empty",
 )
 
 

@@ -4,6 +4,7 @@ Run from the repository root::
 
     PYTHONPATH=src python tools/regen_golden.py          # rewrite
     PYTHONPATH=src python tools/regen_golden.py --check  # diff only
+    PYTHONPATH=src python tools/regen_golden.py --only MODE  # one entry
 
 Rewriting the manifest re-baselines the fixed-seed behaviour contract;
 do it only for an intended behaviour change and record why.
@@ -29,11 +30,17 @@ def main(argv=None) -> int:
         "--check", action="store_true",
         help="report modes whose hashes differ; write nothing",
     )
+    parser.add_argument(
+        "--only", action="append", choices=GOLDEN_MODES, metavar="MODE",
+        help="recompute only this mode (repeatable); other entries are kept",
+    )
     args = parser.parse_args(argv)
+    old = json.loads(MANIFEST_PATH.read_text())["modes"] if MANIFEST_PATH.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        modes = {mode: mode_digests(mode, Path(tmp)) for mode in GOLDEN_MODES}
+        modes = {mode: mode_digests(mode, Path(tmp)) for mode in args.only or GOLDEN_MODES}
+    if args.only:
+        modes = {**old, **modes}
     if args.check:
-        old = json.loads(MANIFEST_PATH.read_text())["modes"] if MANIFEST_PATH.exists() else {}
         changed = sorted(m for m in set(modes) | set(old) if modes.get(m) != old.get(m))
         for mode in changed:
             print(f"changed: {mode}")
