@@ -217,6 +217,29 @@ class TestShardDeath:
         assert s["completed"] + s["dropped"] == s["offered"]
         assert result.report.drops_by_reason().get("fault-abandoned", 0) > 0
 
+    def test_node_loss_during_a_flap_reroutes_around_the_flapped_shard(self):
+        # Node 1 is flapped down (alive, but no alive device) when node 0
+        # dies: node 0's orphans have no schedulable shard left and must
+        # shed, not crash re-executing on the flapped shard.
+        from repro.serve import serve
+
+        plan = FaultPlan((
+            FaultEvent(FaultKind.NODE_FLAP, 2e-3, 4, duration_s=2e-3, count=1),
+            FaultEvent(FaultKind.NODE_LOST, 2.2e-3, 0),
+        ))
+        params = WorkloadParams(
+            vector_size=8, tensor_size=64, num_vectors=40, batch=2
+        )
+        result = serve(
+            ServeConfig(sharded=True, faults=plan),
+            cluster=sharded_config(),
+            vectors=SyntheticWorkload(params, seed=3).vectors(),
+            arrivals=PoissonArrivals(20_000.0), seed=11,
+        )
+        s = result.summary()
+        assert s["completed"] + s["dropped"] == s["offered"]
+        assert [x["dead"] for x in result.sharding["shards"]] == [True, False]
+
     def test_partial_loss_keeps_the_shard_serving(self):
         # device_lost inside a shard shrinks it without killing it.
         plan = FaultPlan((FaultEvent(FaultKind.DEVICE_LOST, 0.01, 5),))
