@@ -24,7 +24,7 @@ replay warm-restores replacement devices, and the
 to complete under the live fault rate (``"predicted-infeasible"``).
 
 The two-level sharded control plane (:mod:`repro.serve.sharded`,
-enabled with ``ServeConfig(sharded=True)``) replaces the single loop
+enabled with ``ServeConfig(sharded=True)``) runs the same event loop
 with a global router over per-node local schedulers coordinated through
 periodically synced load/residency digests — same timeline, same
 determinism, distributed control decisions.  Routing is pluggable:

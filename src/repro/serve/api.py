@@ -48,8 +48,8 @@ def make_server(
     """Instantiate the server class ``config`` calls for.
 
     ``sharded=True`` selects :class:`ShardedServer`, anything else the
-    single-loop :class:`MiccoServer` (which also serves a tenant
-    roster).  Unlike direct construction this path does not emit a
+    unsharded :class:`MiccoServer` (which also serves a tenant roster).
+    Both run the same event loop.  Unlike direct construction this path does not emit a
     :class:`DeprecationWarning`.
 
     Parameters

@@ -38,7 +38,6 @@ from repro.errors import ConfigurationError, FaultError
 from repro.faults.injector import FaultInjector
 from repro.faults.journal import ResidencyJournal
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.faults.recovery import FaultStats
 from repro.gpusim.cluster import ClusterState
 from repro.gpusim.device import mi100_like
 from repro.gpusim.engine import ExecutionEngine
@@ -48,7 +47,6 @@ from repro.integrity import IntegrityConfig, IntegrityState
 from repro.reporting import dump_json
 from repro.schedulers.base import Scheduler
 from repro.schedulers.batching import (
-    batch_footprint_bytes,
     batch_shape_key,
     merge_vectors,
     split_assignment,
@@ -56,7 +54,7 @@ from repro.schedulers.batching import (
 from repro.schedulers.micco import MiccoScheduler
 from repro.serve.arrivals import ArrivalProcess, TraceArrivals
 from repro.serve.autoscale import Autoscaler, AutoscalerConfig
-from repro.serve.health import HealthConfig
+from repro.serve.health import HealthConfig, HedgePair, hedge_shielded
 from repro.serve.queueing import (
     QUEUE_POLICIES,
     AdmissionQueue,
@@ -71,6 +69,8 @@ from repro.serve.timeline import (
     BatchRound,
     DeviceOnline,
     DeviceRestore,
+    DigestSync,
+    HealthTick,
     SchedulingDone,
     Ticket,
     Timeline,
@@ -80,8 +80,10 @@ from repro.serve.timeline import (
 from repro.tensor.spec import VectorSpec
 from repro.workloads.characteristics import CharacteristicsTracker
 
-if TYPE_CHECKING:  # imported at run time inside MiccoServer._runtime
+if TYPE_CHECKING:  # repro.serve.sharded imports this module
+    from repro.serve.health import AdaptiveHedgeDeadline, HealthMonitor
     from repro.serve.sharded.node import NodeRuntime
+    from repro.serve.sharded.server import GlobalScheduler
 
 
 @dataclass(frozen=True)
@@ -660,6 +662,63 @@ def _api_construction():
         _api_depth -= 1
 
 
+@dataclass(eq=False)
+class RunState:
+    """Mutable state of one serving run, shared by every event handler.
+
+    :meth:`MiccoServer._serve` builds one per run; the handlers and the
+    recovery helpers take it instead of long parameter lists.  The
+    router and health fields stay empty for an unsharded run.
+    """
+
+    timeline: Timeline
+    report: LatencyReport
+    total: ExecutionMetrics
+    #: Slot-indexed device busy-until horizons (the cluster's array).
+    busy_until: np.ndarray
+    injector: FaultInjector | None
+    integ: IntegrityState | None
+    journal: ResidencyJournal | None
+    #: Re-derive the reuse bounds per round from the predictor.
+    wants_bounds: bool
+    #: node -> runtime: ``{None: rt}`` over every device when
+    #: unsharded, one runtime per topology node when sharded.
+    runtimes: dict = field(default_factory=dict)
+    #: device -> owning runtime.
+    owner: dict = field(default_factory=dict)
+    #: Runtimes with an autoscaler, in node order (the ones the loop steps).
+    scaled: list = field(default_factory=list)
+    #: Fault-aware admission gate (``observe()`` is fed the live fault
+    #: picture at every arrival); ``None`` when not configured.
+    gate: FaultAware | None = None
+    #: Tickets dispatched and executed, completion event still ahead
+    #: (the set device loss or scale-down can orphan work out of).
+    pending: dict = field(default_factory=dict)
+    #: ``id(ticket)`` of tickets audited and repaired this epoch: their
+    #: re-pushed completion skips a second audit.
+    verified: set = field(default_factory=set)
+    round_ids: itertools.count = field(default_factory=itertools.count)
+    rounds_log: list = field(default_factory=list)
+    events_processed: int = 0
+    # ----- sharded control plane: global router and health state -----
+    router: GlobalScheduler | None = None
+    monitor: HealthMonitor | None = None
+    #: node -> forwarding circuit breaker, and their shared transition log.
+    breakers: dict = field(default_factory=dict)
+    breaker_log: list = field(default_factory=list)
+    hedger: AdaptiveHedgeDeadline | None = None
+    #: Hedge counters (the health section's ``hedges``).
+    hstats: dict = field(
+        default_factory=lambda: dict.fromkeys(
+            ("launched", "won_by_primary", "won_by_clone", "cancelled",
+             "absorbed_drops", "unplaced"),
+            0,
+        )
+    )
+    #: Health, hedge and blame events for the trace's health lanes.
+    health_events: list = field(default_factory=list)
+
+
 class MiccoServer:
     """An online serving instance: one scheduler on one simulated node.
 
@@ -676,6 +735,9 @@ class MiccoServer:
         Optional reuse-bound predictor; consulted per vector when the
         scheduler exposes ``set_bounds`` (MICCO-optimal serving).
     """
+
+    #: Fault-log label of a ``heartbeat_loss``.
+    _heartbeat_label = "heartbeat loss: devices {devices} silent"
 
     def __init__(
         self,
@@ -747,16 +809,11 @@ class MiccoServer:
             keeps serving.  The result's ``faults`` section reports
             counts, recovery latencies and availability.
         """
-        streams = self._streams(vectors, arrivals, seed, build_streams)
-        return self._serve(streams, faults=faults, reset=reset)
+        streams = self._streams(vectors, arrivals, seed)
+        return self._serve(streams, faults=faults, reset=reset, seed=seed)
 
-    def _streams(self, vectors, arrivals, seed, build) -> list[TenantStream]:
-        """The run's arrival streams: the tenant roster or one stream.
-
-        ``build`` draws the roster's streams; each server module passes
-        its own ``build_streams`` binding, which the benchmark's
-        per-layer tracer wraps per module.
-        """
+    def _streams(self, vectors, arrivals, seed) -> list[TenantStream]:
+        """The run's arrival streams: the tenant roster or one stream."""
         tenants = self.serve_config.tenants
         if tenants:
             if vectors is not None or arrivals is not None:
@@ -764,7 +821,7 @@ class MiccoServer:
                     "ServeConfig.tenants is set: streams come from the tenant "
                     "specs, do not pass vectors/arrivals"
                 )
-            return build(tenants, seed)
+            return build_streams(tenants, seed)
         if not vectors or arrivals is None:
             raise ConfigurationError(
                 "single-stream serving needs vectors and arrivals "
@@ -784,6 +841,7 @@ class MiccoServer:
         *,
         faults: FaultPlan | None,
         reset: bool = True,
+        seed=0,
     ) -> ServeResult:
         """Run the discrete-event loop over one or more arrival streams."""
         if reset:
@@ -794,100 +852,32 @@ class MiccoServer:
         cfg = self.serve_config
         if faults is None:
             faults = cfg.faults
-        timeline = Timeline()
-        policy = self._resolve_policy(streams)
-        if cfg.fault_aware_admission and not isinstance(policy, FaultAware):
-            policy = FaultAware(policy, min_success_prob=cfg.admission_min_success)
-        report = LatencyReport()
-        total = ExecutionMetrics(num_devices=self.cluster.num_devices)
+        n = self.cluster.num_devices
         # Slot-indexed device horizons live on the cluster (shared with
         # introspection/benchmarks); each serve pass starts them fresh.
         busy_until = self.cluster.busy_until
         busy_until.fill(0.0)
-        inflight = 0
-        wants_bounds = self.predictor is not None and hasattr(self.scheduler, "set_bounds")
-        # Arming validates every plan event's device id against this
-        # cluster — a plan aimed at a device we don't have fails here.
-        injector = (
-            FaultInjector(faults, self.cluster.num_devices) if faults is not None else None
+        run = RunState(
+            timeline=Timeline(),
+            report=LatencyReport(),
+            total=ExecutionMetrics(num_devices=n),
+            busy_until=busy_until,
+            # Arming validates every plan event's device id against this
+            # cluster — a plan aimed at a device we don't have fails here.
+            injector=FaultInjector(faults, n) if faults is not None else None,
+            integ=(
+                IntegrityState(cfg.integrity, n)
+                if cfg.integrity is not None and cfg.integrity.mode != "off"
+                else None
+            ),
+            journal=ResidencyJournal(cfg.journal_capacity) if cfg.warm_restore else None,
+            wants_bounds=self.predictor is not None and hasattr(self.scheduler, "set_bounds"),
         )
-        journal = ResidencyJournal(cfg.journal_capacity) if cfg.warm_restore else None
-        integ = (
-            IntegrityState(cfg.integrity, self.cluster.num_devices)
-            if cfg.integrity is not None and cfg.integrity.mode != "off"
-            else None
-        )
-        #: Tickets whose completion was already audited and repaired
-        #: this epoch (skip re-auditing when the repaired completion
-        #: event fires).
-        verified: set[int] = set()
-        # The fault-aware admission gate, when configured (observe() is
-        # fed the live fault picture at every arrival).
-        gate = policy if isinstance(policy, FaultAware) else None
-        # Tickets dispatched and executed, completion event still ahead
-        # (the set device loss or scale-down can orphan work out of).
-        pending: dict[int, Ticket] = {}
-        round_ids = itertools.count()
-        rounds_log: list[dict] = []
-        events_processed = 0
-
-        # One runtime over every device; its view is the cluster itself.
-        rt = self._runtime(
-            None, range(self.cluster.num_devices), self.cluster, self.scheduler, policy,
-            Autoscaler(cfg.autoscaler) if cfg.autoscaler is not None else None,
-        )
-        queue = rt.queue
-        scaler = rt.scaler
+        self._build_runtimes(run, streams, seed)
+        run.owner = {d: rt for rt in run.runtimes.values() for d in rt.devices}
+        run.scaled = [rt for rt in run.runtimes.values() if rt.scaler is not None]
+        timeline = run.timeline
         self._push_arrivals(timeline, streams)
-
-        def dispatch(members: list[Ticket], now: float) -> None:
-            """Dispatch one scheduling round (``inflight`` counts rounds)."""
-            nonlocal inflight
-            inflight += 1
-            rnd = BatchRound(round_id=next(round_ids), members=members)
-            for t in members:
-                t.dispatch_s = now
-                t.round_id = rnd.round_id
-                t.round_size = len(members)
-                t.round = rnd
-            latency = cfg.schedule_latency_per_pair_s * rnd.num_pairs
-            timeline.push(SchedulingDone(now + latency, members[0], round=rnd))
-            rounds_log.append(
-                {
-                    "round_id": rnd.round_id,
-                    "members": [t.vector.vector_id for t in members],
-                    "pairs": rnd.num_pairs,
-                    "dispatch_s": now,
-                    "sched_done_s": now + latency,
-                }
-            )
-
-        def refill(now: float) -> None:
-            while inflight < cfg.max_inflight:
-                members = self._pop_round(rt, now)
-                if not members:
-                    break
-                dispatch(members, now)
-
-        def settle(ticket: Ticket, now: float) -> None:
-            """A round member is done (completed or shed); the round's
-            scheduling slot frees only when its last member settles."""
-            nonlocal inflight
-            pending.pop(id(ticket), None)
-            rnd = ticket.round
-            ticket.round = None
-            if rnd is not None:
-                rnd.remaining -= 1
-                if rnd.remaining > 0:
-                    return
-            inflight -= 1
-            refill(now)
-
-        def abandon(ticket: Ticket, now: float) -> None:
-            """Shed an admitted ticket that can no longer complete."""
-            ticket.epoch += 1  # invalidate any queued completion event
-            report.add_drop(ticket, reason="fault-abandoned")
-            settle(ticket, now)
 
         # Config-selected engine tracing: "full"/"sampling" attach a
         # recorder for the run (routing execution through the traced
@@ -899,138 +889,402 @@ class MiccoServer:
         prev_trace = self.engine.trace
         if recorder is not None:
             self.engine.trace = recorder
+        injector, integ, journal = run.injector, run.integ, run.journal
         self.engine.injector = injector
         self.engine.integrity = integ
         self.cluster.journal = journal
+        if run.router is not None:
+            # Initial digests so routing works before the first sync fires.
+            run.router.sync(0.0, self._linkless(run))
+            timeline.push(DigestSync(cfg.sync_interval_s))
+            if run.monitor is not None:
+                timeline.push(HealthTick(cfg.health.heartbeat_interval_s))
+        handlers = {
+            VectorArrival: self._on_arrival,
+            SchedulingDone: self._on_scheduling_done,
+            VectorCompletion: self._on_completion,
+            DeviceOnline: self._on_device_online,
+            DeviceRestore: self._on_device_restore,
+            DigestSync: self._on_digest_sync,
+            HealthTick: self._on_health_tick,
+        }
         try:
             while timeline:
                 event = timeline.pop()
                 now = timeline.now
-                events_processed += 1
+                run.events_processed += 1
                 if journal is not None:
                     journal.advance(now)
                 if injector is not None:
-                    for loss in injector.poll(now):
-                        if loss.kind is FaultKind.LINK_LOST:
-                            self._apply_link_loss(loss, now, injector)
-                        elif loss.kind is FaultKind.HEARTBEAT_LOSS:
-                            self._apply_heartbeat_loss(loss, now, injector)
-                        elif loss.kind is FaultKind.NODE_FLAP:
-                            # Transient: the devices come back on their
-                            # own, so no replacement warm-up is requested.
-                            for dev in self._apply_device_loss(
-                                rt, loss, now, injector, pending, busy_until,
-                                timeline, total, abandon,
-                            ):
-                                timeline.push(
-                                    DeviceRestore(
-                                        max(now, loss.time_s + loss.duration_s),
-                                        device=dev,
-                                    )
-                                )
-                        elif loss.kind is FaultKind.TENSOR_BITFLIP:
-                            self._apply_bitflip(loss, now, injector, integ)
-                        else:
-                            self._apply_device_loss(
-                                rt, loss, now, injector, pending, busy_until, timeline,
-                                total, abandon,
-                            )
+                    for fault in injector.poll(now):
+                        if fault.kind is FaultKind.LINK_LOST:
+                            self._apply_link_loss(run, fault, now)
+                        elif fault.kind is FaultKind.HEARTBEAT_LOSS:
+                            self._apply_heartbeat_loss(run, fault, now)
+                        elif fault.kind is FaultKind.TENSOR_BITFLIP:
+                            self._apply_bitflip(run, fault, now)
+                        else:  # device_lost, node_lost, node_flap
+                            self._apply_device_loss(run, fault, now)
                 if integ is not None:
                     for dev in integ.poll_quarantines():
-                        self._quarantine_device(
-                            rt, dev, now, injector, integ, pending, verified,
-                            busy_until, timeline, total, abandon,
-                        )
-                if scaler is not None:
-                    self._autoscale_step(
-                        rt, now, timeline, pending, busy_until, total, injector, abandon
-                    )
-                ticket = event.ticket
-
-                if isinstance(event, VectorArrival):
-                    if self._admit(ticket, now, gate, injector, report):
-                        if inflight < cfg.max_inflight and not len(queue):
-                            dispatch([ticket], now)
-                        elif not queue.offer(ticket):
-                            report.add_drop(ticket)
-
-                elif isinstance(event, SchedulingDone):
-                    members = event.round.members if event.round is not None else [ticket]
-                    for t in members:
-                        t.sched_done_s = now
-                    if self.cluster.num_alive == 0:
-                        for t in members:
-                            abandon(t, now)
-                        continue
-                    self._execute_round(
-                        rt, members, now, wants_bounds, busy_until, total, pending,
-                        timeline, abandon,
-                    )
-
-                elif isinstance(event, VectorCompletion):
-                    if event.epoch != ticket.epoch:
-                        continue  # superseded by recovery (or abandoned)
-                    if integ is not None and id(ticket) not in verified:
-                        action, ready = self._audit_ticket(
-                            integ, ticket, now, busy_until, total, injector
-                        )
-                        if action == "repair":
-                            # The audit recomputation on the clean
-                            # auditor device *is* the repaired result;
-                            # the ticket completes when it lands.
-                            verified.add(id(ticket))
-                            ticket.epoch += 1
-                            timeline.push(
-                                VectorCompletion(max(ready, now), ticket, epoch=ticket.epoch)
-                            )
-                            continue
-                        if action == "flag":
-                            # Audit budget (or auditor pool) exhausted:
-                            # the result cannot be verified — shed it
-                            # rather than report a possibly-wrong answer.
-                            report.add_drop(ticket, reason="integrity-unverified")
-                            settle(ticket, now)
-                            continue
-                    if integ is not None:
-                        verified.discard(id(ticket))
-                        integ.note_reported(ticket.vector, ticket.assignment)
-                    ticket.complete_s = now
-                    rec = report.add_completion(ticket)
-                    if scaler is not None:
-                        scaler.observe_completion(now, rec.latency_s)
-                    settle(ticket, now)
-
-                elif isinstance(event, DeviceOnline):
-                    self._bring_online(rt, event.device, now, busy_until, injector)
-
-                elif isinstance(event, DeviceRestore):
-                    self._restore_device(rt, event.device, now, busy_until, injector)
+                        self._quarantine_device(run, dev, now)
+                for rt in run.scaled:
+                    if not rt.dead:
+                        self._autoscale_step(run, rt, now)
+                handlers[type(event)](run, event, now)
         finally:
             self.engine.injector = None
             self.engine.integrity = None
             self.engine.trace = prev_trace
             self.cluster.journal = None
 
-        fault_summary, fault_events = self._fault_summary(injector, report)
+        fault_summary, fault_events = self._fault_summary(injector, run.report)
         specs = [s.spec for s in streams if s.spec is not None]
         return ServeResult(
-            report=report,
-            metrics=total,
-            queue=queue.counters(),
+            report=run.report,
+            metrics=run.total,
             arrival_s=sorted(t for s in streams for t in s.times),
             faults=fault_summary,
             fault_events=fault_events,
-            tenants=tenant_sections(report, specs) if specs else None,
-            autoscale=scaler.summary() if scaler is not None else None,
+            tenants=tenant_sections(run.report, specs) if specs else None,
             journal=journal.summary() if journal is not None else None,
-            rounds=rounds_log,
+            rounds=run.rounds_log,
             integrity=(
-                integ.summary(float(total.compute_s.sum())) if integ is not None else None
+                integ.summary(float(run.total.compute_s.sum())) if integ is not None else None
             ),
-            events_processed=events_processed,
+            events_processed=run.events_processed,
             engine_trace=recorder,
             trace_mode=trace_mode,
+            **self._sections(run),
         )
+
+    # ------------------------------------------------- mode-specific pieces
+    # ShardedServer overrides these (and _apply_device_loss,
+    # _quarantine_device, _orphans_of and _heartbeat_label below).
+    def _build_runtimes(self, run: RunState, streams: list[TenantStream], seed) -> None:
+        """One runtime over every device, whose view is the cluster itself.
+
+        The fault-aware gate, when configured, wraps the queue policy.
+        """
+        cfg = self.serve_config
+        policy = self._resolve_policy(streams)
+        if cfg.fault_aware_admission and not isinstance(policy, FaultAware):
+            policy = FaultAware(policy, min_success_prob=cfg.admission_min_success)
+        run.gate = policy if isinstance(policy, FaultAware) else None
+        rt = self._runtime(
+            None, range(self.cluster.num_devices), self.cluster, self.scheduler, policy,
+            Autoscaler(cfg.autoscaler) if cfg.autoscaler is not None else None,
+        )
+        run.runtimes = {None: rt}
+
+    def _place(
+        self,
+        run: RunState,
+        ticket: Ticket,
+        now: float,
+        *,
+        rerouted: bool = False,
+        hedge_clone: bool = False,
+        tried=None,
+    ) -> None:
+        """Dispatch an admitted ticket at once, or queue it (shed when full).
+
+        The keyword arguments describe routing and only matter to the
+        sharded override; the one-runtime pool has nothing to route.
+        """
+        rt = run.runtimes[None]
+        if rt.inflight < self.serve_config.max_inflight and not len(rt.queue):
+            self._dispatch(run, rt, [ticket], now)
+        elif not rt.queue.offer(ticket):
+            run.report.add_drop(ticket)
+
+    def _refill(self, run: RunState, rt: NodeRuntime, now: float) -> None:
+        """Dispatch queued rounds on ``rt`` until its inflight window is full."""
+        while rt.inflight < self.serve_config.max_inflight:
+            members = self._pop_round(rt, now)
+            if not members:
+                break
+            # Hedge losers cancelled while queued settle silently.
+            members = [t for t in members if not t.cancelled]
+            if members:
+                self._dispatch(run, rt, members, now)
+
+    def _pool_died(
+        self, run: RunState, rt: NodeRuntime | None, members: list[Ticket], now: float
+    ) -> None:
+        """A round's pool lost every device between dispatch and sched-done."""
+        for t in members:
+            self._abandon(run, t, now)
+
+    def _sections(self, run: RunState) -> dict:
+        """The queue and autoscale report sections."""
+        rt = run.runtimes[None]
+        return {
+            "queue": rt.queue.counters(),
+            "autoscale": rt.scaler.summary() if rt.scaler is not None else None,
+        }
+
+    # ------------------------------------------------------- round lifecycle
+    def _dispatch(
+        self, run: RunState, rt: NodeRuntime, members: list[Ticket], now: float
+    ) -> None:
+        """Dispatch one scheduling round on ``rt`` (``inflight`` counts rounds)."""
+        rt.inflight += 1
+        rnd = BatchRound(round_id=next(run.round_ids), members=members)
+        for t in members:
+            t.dispatch_s = now
+            t.round_id = rnd.round_id
+            t.round_size = len(members)
+            t.round = rnd
+            t.shard = rt.node
+            rt.inflight_tickets[id(t)] = t
+        latency = self.serve_config.schedule_latency_per_pair_s * rnd.num_pairs
+        run.timeline.push(SchedulingDone(now + latency, members[0], round=rnd))
+        record = {"round_id": rnd.round_id}
+        if rt.node is not None:
+            record["shard"] = rt.node
+        record.update(
+            members=[t.vector.vector_id for t in members],
+            pairs=rnd.num_pairs,
+            dispatch_s=now,
+            sched_done_s=now + latency,
+        )
+        run.rounds_log.append(record)
+
+    def _settle(self, run: RunState, ticket: Ticket, now: float) -> None:
+        """A round member is done (completed or shed); the round's
+        scheduling slot frees only when its last member settles."""
+        run.pending.pop(id(ticket), None)
+        owner = run.runtimes.get(ticket.shard)
+        if owner is not None:
+            owner.inflight_tickets.pop(id(ticket), None)
+        rnd = ticket.round
+        ticket.round = None
+        if rnd is None:
+            return  # never dispatched (e.g. dropped while queued)
+        rnd.remaining -= 1
+        if rnd.remaining > 0:
+            return
+        if owner is not None and not owner.dead:
+            owner.inflight -= 1
+            self._refill(run, owner, now)
+
+    def _abandon(self, run: RunState, ticket: Ticket, now: float) -> None:
+        """Shed an admitted ticket that can no longer complete."""
+        ticket.epoch += 1  # invalidate any queued completion event
+        if run.router is not None:
+            run.router.discharge(ticket, now)
+        if hedge_shielded(ticket):
+            # The vector's hedge partner is still racing: this copy
+            # cancels silently instead of recording an SLO drop.
+            ticket.cancelled = True
+            run.hstats["absorbed_drops"] += 1
+        else:
+            run.report.add_drop(ticket, reason="fault-abandoned")
+        self._settle(run, ticket, now)
+
+    # ---------------------------------------------------------- event handlers
+    def _on_arrival(self, run: RunState, event: VectorArrival, now: float) -> None:
+        if self._admit(run, event.ticket, now):
+            self._place(run, event.ticket, now)
+
+    def _on_scheduling_done(self, run: RunState, event: SchedulingDone, now: float) -> None:
+        members = event.round.members if event.round is not None else [event.ticket]
+        for t in members:
+            t.sched_done_s = now
+        rt = run.runtimes.get(members[0].shard)
+        if rt is None or rt.dead or rt.view.num_alive == 0:
+            self._pool_died(run, rt, members, now)
+            return
+        # Hedge losers cancelled between dispatch and sched-done settle
+        # here, releasing the round slot.
+        for t in members:
+            if t.cancelled:
+                self._settle(run, t, now)
+        members = [t for t in members if not t.cancelled]
+        if members:
+            self._execute_round(run, rt, members, now)
+
+    def _on_completion(self, run: RunState, event: VectorCompletion, now: float) -> None:
+        ticket = event.ticket
+        if event.epoch != ticket.epoch or ticket.cancelled:
+            return  # superseded by recovery (or abandoned, or lost a hedge)
+        integ = run.integ
+        if integ is not None and id(ticket) not in run.verified:
+            action, ready = self._audit_ticket(run, ticket, now)
+            if action == "repair":
+                # The audit recomputation on the clean auditor device
+                # *is* the repaired result; the ticket completes when
+                # it lands.
+                run.verified.add(id(ticket))
+                ticket.epoch += 1
+                run.timeline.push(
+                    VectorCompletion(max(ready, now), ticket, epoch=ticket.epoch)
+                )
+                return
+            if action == "flag":
+                # Audit budget (or auditor pool) exhausted: the result
+                # cannot be verified — shed it rather than report a
+                # possibly-wrong answer.
+                if run.router is not None:
+                    run.router.discharge(ticket, now)
+                run.report.add_drop(ticket, reason="integrity-unverified")
+                self._settle(run, ticket, now)
+                return
+        if integ is not None:
+            run.verified.discard(id(ticket))
+            integ.note_reported(ticket.vector, ticket.assignment)
+        ticket.complete_s = now
+        rec = run.report.add_completion(ticket)
+        if run.router is not None:
+            run.router.note_completion(ticket, now)
+        if run.hedger is not None:
+            run.hedger.observe(ticket.tenant, rec.latency_s)
+        owner = run.runtimes.get(ticket.shard)
+        if owner is not None and owner.scaler is not None:
+            owner.scaler.observe_completion(now, rec.latency_s)
+        self._settle(run, ticket, now)
+        pair = ticket.hedge
+        if pair is not None and not pair.resolved:
+            self._resolve_hedge(run, pair, ticket, now)
+
+    def _on_device_online(self, run: RunState, event: DeviceOnline, now: float) -> None:
+        rt = run.owner[event.device]
+        if not rt.dead:
+            self._bring_online(run, rt, event.device, now)
+
+    def _on_device_restore(self, run: RunState, event: DeviceRestore, now: float) -> None:
+        rt = run.owner[event.device]
+        if not rt.dead and self._restore_device(run, rt, event.device, now):
+            self._refill(run, rt, now)
+
+    def _on_digest_sync(self, run: RunState, event: DigestSync, now: float) -> None:
+        """Refresh the router's digests; unreachable shards keep stale ones."""
+        silent = run.injector.silent_devices(now) if run.injector is not None else ()
+        unreachable = frozenset(
+            n
+            for n, s in run.runtimes.items()
+            if not s.dead and (s.view.num_alive == 0 or any(d in silent for d in s.devices))
+        )
+        run.router.sync(now, self._linkless(run), unreachable=unreachable)
+        if run.timeline.work_remaining:
+            # Stop syncing once only control timers remain: digests with
+            # no traffic left would tick forever.
+            run.timeline.push(DigestSync(now + self.serve_config.sync_interval_s))
+
+    def _on_health_tick(self, run: RunState, event: HealthTick, now: float) -> None:
+        """Beat reachable shards, drain newly quarantined ones, launch hedges."""
+        hcfg = self.serve_config.health
+        monitor = run.monitor
+        silent = run.injector.silent_devices(now) if run.injector is not None else ()
+        for node in sorted(run.runtimes):
+            s = run.runtimes[node]
+            if s.dead:
+                monitor.mark_dead(node, now)
+            elif s.view.num_alive > 0 and not any(d in silent for d in s.devices):
+                monitor.beat(node, now)
+            else:
+                monitor.miss()
+        for node in monitor.evaluate(now):
+            # Newly quarantined: drain its queue through the global
+            # tier.  The shard itself is left running (quarantine is not
+            # death) — only its *waiting* work moves to shards routing
+            # still trusts.
+            shard = run.runtimes[node]
+            moved = 0
+            for t in shard.drain_queue():
+                if t.cancelled:
+                    continue
+                shard.drained_out += 1
+                # The drain moves the ticket off this shard: reverse its
+                # between-sync charge before the new placement charges
+                # its destination.
+                run.router.discharge(t, now)
+                t.shard = None
+                self._place(run, t, now)
+                moved += 1
+            run.health_events.append(
+                {
+                    "kind": "health",
+                    "node": node,
+                    "time_s": now,
+                    "label": f"quarantined, drained {moved} tickets",
+                }
+            )
+        if hcfg.hedging:
+            for node in sorted(run.runtimes):
+                if not run.runtimes[node].dead and monitor.is_suspect(node):
+                    self._launch_hedges(run, node, now)
+        if run.timeline.work_remaining:
+            run.timeline.push(HealthTick(now + hcfg.heartbeat_interval_s))
+
+    # ---------------------------------------------------------------- hedging
+    def _launch_hedges(self, run: RunState, node: int, now: float) -> None:
+        """Clone every overdue ticket queued on suspect shard ``node``."""
+        hcfg = self.serve_config.health
+        for t in run.runtimes[node].queue.tickets():
+            if t.cancelled or t.hedge is not None:
+                continue
+            deadline = (
+                run.hedger.deadline_for(t.tenant)
+                if run.hedger is not None
+                else hcfg.hedge_deadline_s
+            )
+            if now - t.arrival_s < deadline:
+                continue
+            clone = Ticket(
+                vector=t.vector,
+                arrival_s=t.arrival_s,
+                tenant=t.tenant,
+                deadline_s=t.deadline_s,
+            )
+            pair = HedgePair(primary=t, clone=clone)
+            t.hedge = pair
+            clone.hedge = pair
+            run.hstats["launched"] += 1
+            run.health_events.append(
+                {
+                    "kind": "hedge",
+                    "node": node,
+                    "time_s": now,
+                    "label": f"vector {t.vector.vector_id} hedged off shard {node}",
+                }
+            )
+            self._place(run, clone, now, hedge_clone=True, tried={node})
+
+    def _resolve_hedge(
+        self, run: RunState, pair: HedgePair, winner: Ticket, now: float
+    ) -> None:
+        """First completion wins; the loser is cancelled with exactly-once
+        accounting (its round slot settles, no completion, no drop)."""
+        pair.resolved = True
+        pair.winner = winner
+        clone_won = winner is pair.clone
+        run.hstats["won_by_clone" if clone_won else "won_by_primary"] += 1
+        loser = pair.other(winner)
+        if loser.cancelled:
+            return
+        loser.cancelled = True
+        loser.epoch += 1
+        run.router.discharge(loser, now)
+        run.hstats["cancelled"] += 1
+        run.health_events.append(
+            {
+                "kind": "hedge",
+                "node": loser.shard if loser.shard is not None else -1,
+                "time_s": now,
+                "label": (
+                    f"vector {winner.vector.vector_id}: "
+                    + (
+                        "clone won, primary cancelled"
+                        if clone_won
+                        else "primary won, clone cancelled"
+                    )
+                ),
+            }
+        )
+        if id(loser) in run.pending:
+            self._settle(run, loser, now)
 
     # ------------------------------------------------------ runtime pieces
     def _runtime(
@@ -1081,20 +1335,19 @@ class MiccoServer:
                     )
                 )
 
-    def _admit(
-        self,
-        ticket: Ticket,
-        now: float,
-        gate: FaultAware | None,
-        injector: FaultInjector | None,
-        report: LatencyReport,
-    ) -> bool:
+    @staticmethod
+    def _linkless(run: RunState) -> frozenset[int]:
+        return run.injector.linkless_devices if run.injector is not None else frozenset()
+
+    def _admit(self, run: RunState, ticket: Ticket, now: float) -> bool:
         """Arrival admission; ``False`` means the ticket was shed.
 
         The fault-aware gate, when configured, first observes the live
         fault picture.  An empty pool sheds as ``fault-abandoned``, a
         gate rejection as ``predicted-infeasible``.
         """
+        gate = run.gate
+        injector = run.injector
         if gate is not None:
             fault_events = 0
             if injector is not None:
@@ -1106,43 +1359,35 @@ class MiccoServer:
                 now, fault_events, self.cluster.num_alive, self.cluster.num_devices
             )
         if self.cluster.num_alive == 0:
-            report.add_drop(ticket, reason="fault-abandoned")
+            run.report.add_drop(ticket, reason="fault-abandoned")
             return False
         if gate is not None and not gate.admit(ticket, now):
-            report.add_drop(ticket, reason="predicted-infeasible")
+            run.report.add_drop(ticket, reason="predicted-infeasible")
             if injector is not None:
                 injector.stats.predicted_infeasible += 1
             return False
         return True
 
     def _execute_round(
-        self,
-        rt: NodeRuntime,
-        members: list[Ticket],
-        now: float,
-        wants_bounds: bool,
-        busy_until,
-        total: ExecutionMetrics,
-        pending: dict[int, Ticket],
-        timeline: Timeline,
-        abandon,
+        self, run: RunState, rt: NodeRuntime, members: list[Ticket], now: float
     ) -> None:
         """Schedule one round on ``rt`` and de-multiplex it per member."""
         merged = merge_vectors([t.vector for t in members])
         try:
-            vec_metrics, assignment = self._schedule_and_execute(rt, merged, wants_bounds)
+            vec_metrics, assignment = self._schedule_and_execute(rt, merged, run.wants_bounds)
         except FaultError:
             # Retry budget exhausted (or the pool died under us): shed
             # the round, keep the cluster serving.
             for t in members:
-                abandon(t, now)
+                self._abandon(run, t, now)
             return
         # Per-device busy seconds this round added; members share the
         # round's horizon on the devices they use.
+        busy_until = run.busy_until
         delta = vec_metrics.compute_s + vec_metrics.memop_s
         for dev in sorted(set(assignment)):
             busy_until[dev] = max(busy_until[dev], now) + delta[dev]
-        total.merge(vec_metrics)
+        run.total.merge(vec_metrics)
         # De-multiplex: each member keeps its own assignment slice and
         # completes when its own devices drain.
         slices = split_assignment([t.vector for t in members], assignment)
@@ -1150,8 +1395,8 @@ class MiccoServer:
             t.assignment = sl
             t.devices = sorted(set(sl))
             complete = max((busy_until[d] for d in t.devices), default=now)
-            pending[id(t)] = t
-            timeline.push(VectorCompletion(max(complete, now), t, epoch=t.epoch))
+            run.pending[id(t)] = t
+            run.timeline.push(VectorCompletion(max(complete, now), t, epoch=t.epoch))
 
     def _fault_summary(
         self, injector: FaultInjector | None, report: LatencyReport
@@ -1206,8 +1451,7 @@ class MiccoServer:
         cutoff — the grown round's scheduling latency would not push its
         earliest-deadline member past that member's SLO deadline.
         Tickets without a deadline (no tenant p99 target) never
-        constrain growth.  Shared by the single-loop and per-shard round
-        assemblers.
+        constrain growth.  Shared by every runtime's round assembly.
         """
         latency_per_pair = self.serve_config.schedule_latency_per_pair_s
         # One closure per round: the head's shape key and the accepted
@@ -1282,8 +1526,8 @@ class MiccoServer:
         ``"auto"`` picks weighted-fair when tenants are configured
         (their weights seed the policy) and FIFO otherwise; explicit
         names and :class:`QueuePolicy` instances are honoured as-is.
-        The single loop wraps the result in :class:`FaultAware` under
-        :attr:`ServeConfig.fault_aware_admission`; the sharded loop
+        An unsharded run wraps the result in :class:`FaultAware` under
+        :attr:`ServeConfig.fault_aware_admission`; a sharded run
         deep-copies it per shard.
         """
         policy = self.serve_config.queue_policy
@@ -1314,9 +1558,9 @@ class MiccoServer:
 
     def _scale_up(
         self,
+        run: RunState,
         rt: NodeRuntime,
         now: float,
-        timeline: Timeline,
         reason: str,
         starts_cooldown: bool = True,
     ) -> bool:
@@ -1332,24 +1576,14 @@ class MiccoServer:
             return False
         dev = candidates[0]
         rt.pending_online.add(dev)
-        timeline.push(DeviceOnline(now + c.warmup_s, device=dev))
+        run.timeline.push(DeviceOnline(now + c.warmup_s, device=dev))
         rt.scaler.log(
             now, "up", dev, rt.view.num_alive,
             reason=reason, starts_cooldown=starts_cooldown,
         )
         return True
 
-    def _autoscale_step(
-        self,
-        rt: NodeRuntime,
-        now: float,
-        timeline: Timeline,
-        pending: dict[int, Ticket],
-        busy_until,
-        total: ExecutionMetrics,
-        injector: FaultInjector | None,
-        abandon,
-    ) -> None:
+    def _autoscale_step(self, run: RunState, rt: NodeRuntime, now: float) -> None:
         """Evaluate ``rt``'s autoscaler and apply its decision, if any.
 
         Each runtime grows and shrinks only its own devices.
@@ -1364,7 +1598,7 @@ class MiccoServer:
         )
         if decision == "up":
             self._scale_up(
-                rt, now, timeline,
+                run, rt, now,
                 rt.scoped(f"queue depth {len(rt.queue)}, warm-up {c.warmup_s:g}s"),
             )
         elif decision == "down":
@@ -1377,33 +1611,18 @@ class MiccoServer:
             self.cluster.retire_device(dev)
             self._rescale_bounds(rt, before, view.num_alive)
             # Drain: in-flight pairs on the retiring device finish on the
-            # survivors through the orphan-rescheduling path.
+            # survivors through the orphan-rescheduling path (in pending
+            # order, whatever the mode).
             moved = 0
-            for ticket in [t for t in pending.values() if dev in set(t.assignment)]:
-                try:
-                    complete = self._reschedule_orphans(
-                        rt, ticket, dev, now, busy_until, total,
-                        stats=injector.stats if injector is not None else None,
-                    )
-                except FaultError:
-                    abandon(ticket, now)
-                    continue
-                ticket.epoch += 1
-                timeline.push(VectorCompletion(complete, ticket, epoch=ticket.epoch))
-                moved += 1
+            for ticket in [t for t in run.pending.values() if dev in set(t.assignment)]:
+                if self._reexecute(run, rt, ticket, dev, now) is not None:
+                    moved += 1
             scaler.log(
                 now, "down", dev, view.num_alive,
                 reason=rt.scoped(f"drained {moved} in-flight vectors"),
             )
 
-    def _bring_online(
-        self,
-        rt: NodeRuntime,
-        device: int,
-        now: float,
-        busy_until,
-        injector: FaultInjector | None = None,
-    ) -> None:
+    def _bring_online(self, run: RunState, rt: NodeRuntime, device: int, now: float) -> None:
         """A warm-up completed: the device joins ``rt``'s pool.
 
         Cold by default; with :attr:`ServeConfig.warm_restore` the
@@ -1417,11 +1636,11 @@ class MiccoServer:
             return  # lost while warming up, or a stale event
         before = rt.view.num_alive
         self.cluster.activate_device(device)
-        busy_until[device] = now
+        run.busy_until[device] = now
         restored = 0
         if self.cluster.journal is not None:
-            restored, cost = self._warm_restore(device, now, injector)
-            busy_until[device] += cost
+            restored, cost = self._warm_restore(device, now, run.injector)
+            run.busy_until[device] += cost
         self._rescale_bounds(rt, before, rt.view.num_alive)
         if rt.scaler is not None:
             reason = "warm-up complete"
@@ -1538,7 +1757,8 @@ class MiccoServer:
             return topo.devices_of_node(topo.node_of(fault.device))
         return [fault.device]
 
-    def _apply_link_loss(self, fault: FaultEvent, now: float, injector: FaultInjector) -> None:
+
+    def _apply_link_loss(self, run: RunState, fault: FaultEvent, now: float) -> None:
         """Apply a ``link_lost`` fault: the node degrades, devices live on.
 
         The node's devices stay alive and keep executing, but their
@@ -1548,6 +1768,7 @@ class MiccoServer:
         router deprioritises the degraded node.  No orphan recovery is
         needed — nothing dies.
         """
+        injector = run.injector
         devices = [d for d in self._blast_radius(fault) if self.cluster.is_alive(d)]
         already = injector.linkless_devices
         devices = [d for d in devices if d not in already]
@@ -1559,38 +1780,28 @@ class MiccoServer:
             label=f"link lost: devices {devices} host-staged",
         )
 
-    def _apply_heartbeat_loss(
-        self, fault: FaultEvent, now: float, injector: FaultInjector
-    ) -> None:
+    def _apply_heartbeat_loss(self, run: RunState, fault: FaultEvent, now: float) -> None:
         """Apply a ``heartbeat_loss`` gray fault: silence, not death.
 
         The node's devices keep executing; only their *telemetry* goes
-        dark for ``duration_s``.  The single control plane colocates
-        the scheduler with its devices, so nothing operational changes
-        here — the silence window is recorded (for the trace and for
-        :meth:`FaultInjector.silent_devices`) so the same plan replays
-        identically on the sharded server, where the health monitor
-        actually reacts to it.
+        dark for ``duration_s``.  The silence window is recorded for the
+        trace and for :meth:`FaultInjector.silent_devices`; an unsharded
+        run colocates the scheduler with its devices, so nothing
+        operational changes, while the sharded health monitor and digest
+        sync react to it.
         """
         devices = [d for d in self._blast_radius(fault) if self.cluster.is_alive(d)]
         if not devices:
             return  # dead node: nothing left to go silent
-        injector.note_heartbeat_loss(
+        run.injector.note_heartbeat_loss(
             devices, fault.time_s, fault.time_s + fault.duration_s
         )
-        injector.stats.record_event(
+        run.injector.stats.record_event(
             "fault", fault.device, fault.time_s, fault.duration_s,
-            label=f"heartbeat loss: devices {devices} silent",
+            label=self._heartbeat_label.format(devices=devices),
         )
 
-    def _restore_device(
-        self,
-        rt: NodeRuntime,
-        device: int,
-        now: float,
-        busy_until,
-        injector: FaultInjector | None,
-    ) -> bool:
+    def _restore_device(self, run: RunState, rt: NodeRuntime, device: int, now: float) -> bool:
         """A flapped device comes back: rejoin ``rt``'s pool, cold (or warm).
 
         Mirrors :meth:`_bring_online` but for a *failed* device (flap
@@ -1604,99 +1815,88 @@ class MiccoServer:
             return False
         before = rt.view.num_alive
         self.cluster.restore_device(device)
-        busy_until[device] = now
+        run.busy_until[device] = now
         restored = 0
         if self.cluster.journal is not None:
-            restored, cost = self._warm_restore(device, now, injector)
-            busy_until[device] += cost
+            restored, cost = self._warm_restore(device, now, run.injector)
+            run.busy_until[device] += cost
         self._rescale_bounds(rt, before, rt.view.num_alive)
-        if injector is not None:
-            injector.note_device_restored(device, now)
+        if run.injector is not None:
+            run.injector.note_device_restored(device, now)
             label = "node flap up"
             if restored:
                 label += f", {restored} tensors pre-warmed"
-            injector.stats.record_event("restore", device, now, 0.0, label=label)
+            run.injector.stats.record_event("restore", device, now, 0.0, label=label)
         return True
 
-    def _apply_device_loss(
-        self,
-        rt: NodeRuntime,
-        fault: FaultEvent,
-        now: float,
-        injector: FaultInjector,
-        pending: dict[int, Ticket],
-        busy_until,
-        timeline: Timeline,
-        total: ExecutionMetrics,
-        abandon,
-    ) -> list[int]:
-        """Kill a failure domain and recover (or shed) the work it orphans.
+    def _fail_domain(self, run: RunState, fault: FaultEvent) -> dict[int, list[int]]:
+        """Kill a loss event's failure domain and log each device death.
 
-        Returns the sorted device ids that actually died, so callers
-        handling transient kinds (``node_flap``) can schedule their
-        restores.
-
-        A ``device_lost`` domain is one device; a ``node_lost`` domain is
-        every device of the event's node (see :meth:`_blast_radius`).
-        All members leave the pool *atomically* — before any
-        rescheduling — so orphaned pairs can only land on devices of
-        *surviving* nodes (cross-node re-fetches there are charged
-        through :meth:`~repro.gpusim.topology.Topology.d2d_time` and
-        surface as ``xnode`` trace events).  Then the balanced share and
-        the reuse bounds are recomputed for the survivors, and every
-        in-flight vector with pairs on a dead device either has those
-        pairs re-executed (recovery on) or is shed as
-        ``fault-abandoned`` (recovery off).  With
-        :attr:`AutoscalerConfig.replace_lost`, one replacement warm-up
-        is requested per lost device (not for a flap: its devices come
-        back on their own).
+        A ``device_lost`` domain is one device; a ``node_lost`` or
+        ``node_flap`` domain is every device of the event's node (see
+        :meth:`_blast_radius`).  All members leave the pool *atomically*
+        — before any rescheduling — so orphaned pairs can only land on
+        devices of *surviving* nodes (cross-node re-fetches there are
+        charged through :meth:`~repro.gpusim.topology.Topology.d2d_time`
+        and surface as ``xnode`` trace events).  Returns ``{device:
+        orphan uids}`` for the devices that were alive; empty when the
+        domain was already dead or only retired devices died.
         """
-        kind = fault.kind.value
-        flap = fault.kind is FaultKind.NODE_FLAP
+        injector = run.injector
         members = [d for d in self._blast_radius(fault) if not self.cluster.is_failed(d)]
         if not members:
-            return []  # already dead (duplicate plan entry)
-        alive_before = self.cluster.num_alive
+            return {}  # already dead (duplicate plan entry)
         orphaned = self.cluster.fail_node(members)
-        if not orphaned:
-            return []  # only offline (retired) devices died: nothing to recover
-        if fault.kind is FaultKind.NODE_LOST:
+        if orphaned and fault.kind is FaultKind.NODE_LOST:
             injector.stats.node_losses += 1
+        flap = fault.kind is FaultKind.NODE_FLAP
         for dev, orphans in sorted(orphaned.items()):
             injector.note_device_lost(dev, fault.time_s, len(orphans))
             injector.stats.record_event(
                 "fault", dev, fault.time_s,
                 fault.duration_s if flap else 0.0,
-                label="node flap down" if flap else f"{kind.replace('_', ' ')}",
+                label="node flap down" if flap else fault.kind.value.replace("_", " "),
             )
+        return orphaned
 
+    def _apply_device_loss(self, run: RunState, fault: FaultEvent, now: float) -> None:
+        """Kill a failure domain and recover (or shed) the work it orphans.
+
+        After the domain dies (:meth:`_fail_domain`) the balanced share
+        and the reuse bounds are recomputed for the survivors, and every
+        in-flight vector with pairs on a dead device either has those
+        pairs re-executed (recovery on) or is shed as
+        ``fault-abandoned`` (recovery off).  An emptied pool sheds
+        everything in flight.  A ``node_flap`` schedules one
+        :class:`DeviceRestore` per downed device; with
+        :attr:`AutoscalerConfig.replace_lost`, a permanent loss instead
+        requests one replacement warm-up per lost device.
+        """
+        orphaned = self._fail_domain(run, fault)
+        if not orphaned:
+            return
+        injector = run.injector
+        kind = fault.kind.value
+        rt = run.owner[fault.device]
         # Recompute the reuse bounds for the survivors (a no-op once the
         # pool is empty).
-        self._rescale_bounds(rt, alive_before, self.cluster.num_alive)
-
+        self._rescale_bounds(rt, rt.view.num_alive + len(orphaned), rt.view.num_alive)
         dead = set(orphaned)
-        affected = [t for t in pending.values() if dead & set(t.assignment)]
-        if self.cluster.num_alive == 0:
+        affected = self._orphans_of(run, dead)
+        if rt.view.num_alive == 0:
             # Nothing left to serve on: everything admitted is shed.
-            for ticket in list(pending.values()):
-                abandon(ticket, now)
+            for ticket in list(run.pending.values()):
+                self._abandon(run, ticket, now)
         elif not self.serve_config.recover_faults:
             for ticket in affected:
-                abandon(ticket, now)
+                self._abandon(run, ticket, now)
             injector.stats.record_recovery(kind, 0.0)
         else:
             latest = now
             for ticket in affected:
-                try:
-                    complete = self._reschedule_orphans(
-                        rt, ticket, dead, now, busy_until, total, stats=injector.stats
-                    )
-                except FaultError:
-                    abandon(ticket, now)
-                    continue
-                ticket.epoch += 1
-                timeline.push(VectorCompletion(complete, ticket, epoch=ticket.epoch))
-                latest = max(latest, complete)
+                complete = self._reexecute(run, rt, ticket, dead, now)
+                if complete is not None:
+                    latest = max(latest, complete)
             injector.stats.record_recovery(kind, latest - fault.time_s)
             injector.stats.record_event(
                 "recovery",
@@ -1705,14 +1905,35 @@ class MiccoServer:
                 max(latest - now, 0.0),
                 label=f"rescheduled {len(affected)} vectors",
             )
+        if fault.kind is FaultKind.NODE_FLAP:
+            # Transient: the devices come back on their own.
+            for dev in sorted(orphaned):
+                run.timeline.push(
+                    DeviceRestore(max(now, fault.time_s + fault.duration_s), device=dev)
+                )
+        elif rt.scaler is not None and rt.scaler.config.replace_lost:
+            self._replace_lost(run, rt, now, len(orphaned))
 
-        if not flap and rt.scaler is not None and rt.scaler.config.replace_lost:
-            self._replace_lost(rt, now, timeline, len(orphaned))
-        return sorted(orphaned)
+    def _orphans_of(self, run: RunState, dead: set[int]) -> list[Ticket]:
+        """In-flight tickets with pairs on ``dead`` devices, in pending order."""
+        return [t for t in run.pending.values() if not dead.isdisjoint(t.assignment)]
 
-    def _replace_lost(
-        self, rt: NodeRuntime, now: float, timeline: Timeline, count: int
-    ) -> None:
+    def _reexecute(
+        self, run: RunState, rt: NodeRuntime, ticket: Ticket, dead: int | set[int], now: float
+    ) -> float | None:
+        """Re-execute ``ticket``'s pairs on ``dead`` through ``rt`` and
+        re-push its completion; ``None`` (ticket abandoned) when the
+        retry budget runs out."""
+        try:
+            complete = self._reschedule_orphans(run, rt, ticket, dead, now)
+        except FaultError:
+            self._abandon(run, ticket, now)
+            return None
+        ticket.epoch += 1
+        run.timeline.push(VectorCompletion(complete, ticket, epoch=ticket.epoch))
+        return complete
+
+    def _replace_lost(self, run: RunState, rt: NodeRuntime, now: float, count: int) -> None:
         """Request one replacement warm-up per device ``rt`` just lost.
 
         Reactive, so it bypasses the cooldown clock (a rack dying is not
@@ -1723,33 +1944,31 @@ class MiccoServer:
             f"replace lost device, warm-up {rt.scaler.config.warmup_s:g}s", sep=": "
         )
         for _ in range(count):
-            if not self._scale_up(rt, now, timeline, reason, starts_cooldown=False):
+            if not self._scale_up(run, rt, now, reason, starts_cooldown=False):
                 return
 
     def _reschedule_orphans(
         self,
+        run: RunState,
         rt: NodeRuntime,
         ticket: Ticket,
         dead: int | set[int],
         now: float,
-        busy_until,
-        total: ExecutionMetrics,
-        stats: FaultStats | None = None,
     ) -> float:
         """Re-execute a ticket's dead-device pairs on ``rt``'s survivors.
 
-        ``dead`` is one device id (scale-down drain, single-device loss)
-        or the whole failure domain of a node loss.  Shared by
-        device-*loss* recovery and autoscale scale-*down* draining
-        (``stats`` is only threaded for the former).  Returns the
-        vector's new completion timestamp.  The surviving devices'
-        original shares are already in ``busy_until``; only the
-        re-executed pairs' busy time is appended.
+        ``dead`` is one device id (scale-down drain, quarantine,
+        single-device loss) or the whole failure domain of a node loss.
+        Returns the vector's new completion timestamp.  The surviving
+        devices' original shares are already in the busy horizons; only
+        the re-executed pairs' busy time is appended.
 
         Placement runs through ``rt``'s scheduler and view, so the
         sharded control plane re-homes orphans only onto the chosen
         shard's devices.
         """
+        stats = run.injector.stats if run.injector is not None else None
+        busy_until = run.busy_until
         scheduler = rt.scheduler
         cluster = rt.view
         dead_set = {dead} if isinstance(dead, int) else set(dead)
@@ -1767,7 +1986,7 @@ class MiccoServer:
             ticket.assignment[i] = dev
             if stats is not None:
                 stats.rescheduled_pairs += 1
-        total.merge(vec_metrics)
+        run.total.merge(vec_metrics)
         delta = vec_metrics.compute_s + vec_metrics.memop_s
         for dev in sorted({ticket.assignment[i] for i in orphan_idx}):
             busy_until[dev] = max(busy_until[dev], now) + delta[dev]
@@ -1777,9 +1996,8 @@ class MiccoServer:
             if self.cluster.is_alive(dev):
                 complete = max(complete, busy_until[dev])
         return complete
-
     # ------------------------------------------------------- result integrity
-    def _pick_auditor(self, producer: int, integ: IntegrityState, busy_until) -> int | None:
+    def _pick_auditor(self, run: RunState, producer: int) -> int | None:
         """The device that recomputes a pair for an audit.
 
         Must be a *different* device than the producer (dual execution
@@ -1787,6 +2005,8 @@ class MiccoServer:
         itself under suspicion; among candidates the least-busy wins
         (ties on id).  ``None`` when no clean second device is alive.
         """
+        integ = run.integ
+        busy_until = run.busy_until
         best = None
         best_key = None
         for dev in self.cluster.alive_ids():
@@ -1798,13 +2018,7 @@ class MiccoServer:
         return best
 
     def _audit_ticket(
-        self,
-        integ: IntegrityState,
-        ticket: Ticket,
-        now: float,
-        busy_until,
-        total: ExecutionMetrics,
-        injector: FaultInjector | None,
+        self, run: RunState, ticket: Ticket, now: float
     ) -> tuple[str, float]:
         """Audit one completed-but-unreported ticket's pair outputs.
 
@@ -1829,13 +2043,16 @@ class MiccoServer:
         ``integrity-unverified`` instead of fueling a recompute storm.
         Clean throughout returns ``("clean", now)``.
         """
+        integ = run.integ
+        injector = run.injector
+        busy_until = run.busy_until
         cfg = integ.config
         vector = ticket.vector
         assignment = ticket.assignment
         vid = vector.vector_id
         cm = self.config.cost_model
         cluster = self.cluster
-        budget_s = cfg.audit_budget_frac * float(total.compute_s.sum())
+        budget_s = cfg.audit_budget_frac * float(run.total.compute_s.sum())
         suspect_full = cfg.mode == "suspect-full" and any(
             integ.is_suspect(d) for d in ticket.devices
         )
@@ -1858,7 +2075,7 @@ class MiccoServer:
             audited.add(i)
             pair = vector.pairs[i]
             producer = assignment[i]
-            auditor = self._pick_auditor(producer, integ, busy_until)
+            auditor = self._pick_auditor(run, producer)
             if auditor is None:
                 if mandatory:
                     flag = True
@@ -1899,64 +2116,43 @@ class MiccoServer:
             return "repair", ready
         return "clean", now
 
-    def _quarantine_device(
-        self,
-        rt: NodeRuntime,
-        device: int,
-        now: float,
-        injector: FaultInjector | None,
-        integ: IntegrityState,
-        pending: dict[int, Ticket],
-        verified: set[int],
-        busy_until,
-        timeline: Timeline,
-        total: ExecutionMetrics,
-        abandon,
-    ) -> None:
-        """Blame crossed the threshold: retire the device from the pool.
+    def _quarantine_device(self, run: RunState, device: int, now: float) -> None:
+        """Blame crossed the threshold: retire the device from its pool.
 
         Its resident *corrupt* copies are invalidated first (journal
         drop reason ``corrupt``) so nothing can fetch them over D2D;
         then the device drains like an autoscale scale-down — in-flight
-        pairs assigned to it re-execute on the survivors, with their
-        tickets' audit status reset so the re-executed work is audited
-        again.  The last alive device is never retired (a degraded
-        answer beats no answer; mandatory audits of its output will
-        flag what cannot be verified).
+        pairs assigned to it re-execute on its runtime's survivors, with
+        their tickets' audit status reset so the re-executed work is
+        audited again.  A pool's last alive device is never retired (a
+        degraded answer beats no answer; mandatory audits of its output
+        will flag what cannot be verified).
         """
+        integ = run.integ
         for uid in integ.dirty_uids_on(device):
             if self.cluster.is_resident(uid, device):
                 self.cluster.drop(uid, device, reason="corrupt")
-        if injector is not None:
-            injector.stats.record_event(
+        if run.injector is not None:
+            run.injector.stats.record_event(
                 "blame", device, now, 0.0,
                 label=f"quarantined (corruption ewma {integ.ewma[device]:.3f})",
             )
-        if not self.cluster.is_alive(device) or self.cluster.num_alive <= 1:
+        rt = run.owner[device]
+        if (
+            not self.cluster.is_alive(device)
+            or self.cluster.num_alive <= 1
+            or rt.dead
+            or rt.view.num_alive <= 1
+        ):
             return
-        before = self.cluster.num_alive
+        before = rt.view.num_alive
         self.cluster.retire_device(device)
-        self._rescale_bounds(rt, before, self.cluster.num_alive)
-        for ticket in [t for t in pending.values() if device in set(t.assignment)]:
-            try:
-                complete = self._reschedule_orphans(
-                    rt, ticket, device, now, busy_until, total,
-                    stats=injector.stats if injector is not None else None,
-                )
-            except FaultError:
-                abandon(ticket, now)
-                continue
-            verified.discard(id(ticket))
-            ticket.epoch += 1
-            timeline.push(VectorCompletion(complete, ticket, epoch=ticket.epoch))
+        self._rescale_bounds(rt, before, rt.view.num_alive)
+        for ticket in self._orphans_of(run, {device}):
+            if self._reexecute(run, rt, ticket, device, now) is not None:
+                run.verified.discard(id(ticket))
 
-    def _apply_bitflip(
-        self,
-        fault: FaultEvent,
-        now: float,
-        injector: FaultInjector,
-        integ: IntegrityState | None,
-    ) -> None:
+    def _apply_bitflip(self, run: RunState, fault: FaultEvent, now: float) -> None:
         """Apply a ``tensor_bitflip``: corrupt one resident copy in place.
 
         The victim is the lowest-uid tensor resident on the event's
@@ -1971,9 +2167,9 @@ class MiccoServer:
             resident = self.cluster.pools[device].resident_uids()
             if resident:
                 uid = min(resident)
-        if uid is not None and integ is not None:
-            integ.flip(uid, device, now)
-        injector.stats.record_event(
+        if uid is not None and run.integ is not None:
+            run.integ.flip(uid, device, now)
+        run.injector.stats.record_event(
             "fault", device, fault.time_s, 0.0,
             label=(
                 f"tensor bitflip: uid {uid}" if uid is not None

@@ -1,10 +1,10 @@
-"""Per-device-set scheduling runtime shared by both serving loops.
+"""Per-device-set scheduling runtime: the unit the serving loop works on.
 
 A :class:`NodeRuntime` is one device set's slice of the serving
 machinery: its own bounded :class:`~repro.serve.queueing.AdmissionQueue`,
 its own placement scheduler, autoscaler and reuse-bound anchor, and a
-view of the shared :class:`~repro.gpusim.cluster.ClusterState`.  The
-single loop runs one runtime over every device, whose view is the
+view of the shared :class:`~repro.gpusim.cluster.ClusterState`.  An
+unsharded run has one runtime over every device, whose view is the
 cluster itself.  The sharded control plane runs one per topology node,
 each with its own scheduler copy (MICCO reuse-bound state is per-shard)
 and a :class:`ShardView` that scopes the cluster down to the node's
@@ -108,16 +108,16 @@ class NodeRuntime:
     Parameters
     ----------
     node:
-        Topology node id (also the shard id); ``None`` for the single
-        loop's runtime over every device.
+        Topology node id (also the shard id); ``None`` for an
+        unsharded run's one runtime over every device.
     devices:
         The runtime's device ids (a shard's come from
         ``Topology.devices_of_node``).
     view:
         Cluster view the local scheduler places through: a
         :class:`ShardView` for a shard, the
-        :class:`~repro.gpusim.cluster.ClusterState` itself for the
-        single loop.
+        :class:`~repro.gpusim.cluster.ClusterState` itself for an
+        unsharded run.
     scheduler:
         This runtime's *own* scheduler instance (per-shard reuse-bound
         state; never shared with other shards).

@@ -134,6 +134,65 @@ class TestSingleLoopRuntime:
         assert len(built) == 2
 
 
+    def test_unsharded_run_builds_no_router(self, monkeypatch):
+        # An unsharded run is the one-runtime case of the serving loop,
+        # not a pass-through router: no GlobalScheduler, hence no digest
+        # syncs or health ticks, even with a health block configured.
+        from repro.serve import HealthConfig
+        from repro.serve.sharded.server import GlobalScheduler
+
+        built = []
+        init = GlobalScheduler.__init__
+
+        def counting_init(router, *args, **kwargs):
+            built.append(router)
+            init(router, *args, **kwargs)
+
+        monkeypatch.setattr(GlobalScheduler, "__init__", counting_init)
+        cfg = ServeConfig(health=HealthConfig(hedging=True))
+        result = make_server(serve=cfg).run(stream(), PoissonArrivals(2000.0), seed=0)
+        assert built == []
+        assert result.sharding is None and result.health is None
+
+
+class TestTraceModes:
+    """``ServeConfig.trace`` applies to unsharded and sharded runs alike."""
+
+    @pytest.mark.parametrize("mode", ["off", "full"])
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    def test_trace_mode_is_honoured(self, sharded, mode, tmp_path):
+        from repro.gpusim import CostModel, Topology
+        from repro.gpusim.trace import TraceConfig, TraceRecorder
+        from repro.serve import serve
+        from repro.tensor.spec import reset_uid_counter
+
+        topo = Topology(num_devices=4, devices_per_node=2)
+        cluster = MiccoConfig(num_devices=4, cost_model=CostModel(topology=topo))
+
+        def run(trace):
+            reset_uid_counter()
+            return serve(
+                ServeConfig(sharded=sharded, trace=trace), cluster=cluster,
+                vectors=stream(), arrivals=PoissonArrivals(2000.0), seed=0,
+            )
+
+        result = run(TraceConfig(mode=mode))
+        assert result.trace_mode == mode
+        if mode == "off":
+            assert result.engine_trace is None
+            assert len(result.to_trace()) == 0
+        else:
+            assert isinstance(result.engine_trace, TraceRecorder)
+            assert len(result.engine_trace) > 0
+            assert len(result.to_trace()) > 0
+        # Tracing observes the run; it never changes what the run does.
+        result.to_json(tmp_path / "traced.json")
+        run(None).to_json(tmp_path / "default.json")
+        assert (tmp_path / "traced.json").read_bytes() == (
+            tmp_path / "default.json"
+        ).read_bytes()
+
+
 class TestArrivalsInput:
     def test_explicit_timestamps(self):
         vectors = stream(num_vectors=3)
