@@ -236,6 +236,16 @@ def run_mode(mode: str):
         plan = FaultPlan((flap(1, 0.002, 0.002, 1), flap(6, 0.002, 0.002, 1)))
         cfg = ServeConfig(faults=plan)
         return run_stream(cfg, sharded_cluster(), rate=20_000.0)
+    if mode == "learned-wrap":
+        # The ``learned`` config refit after every completion over 1200
+        # vectors: every shard's model passes its 512-sample window, so
+        # this pins refits over a window that has wrapped.
+        cfg = ServeConfig(
+            sharded=True, routing="learned", sync_interval_s=0.01,
+            explore_floor=0.1, min_samples=6, refit_interval=1,
+            health=HealthConfig(),
+        )
+        return run_stream(cfg, sharded_cluster(), n=1200)
     if mode == "sharded-integrity":
         cfg = ServeConfig(
             sharded=True, faults=integrity_plan(8),

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.serve.sharded.learned import LearnedRouting
 from tests.test_golden_equivalence import artifacts, run_mode
 
 MANIFEST_PATH = Path(__file__).parent / "golden" / "manifest.json"
@@ -29,7 +30,8 @@ MANIFEST_PATH = Path(__file__).parent / "golden" / "manifest.json"
 #: three pin where the two loops still differ: the order orphaned
 #: tickets re-execute in (``tenant-loss``, ``sharded-tenant-loss``) and
 #: whether a pool with no alive device keeps dispatching
-#: (``single-pool-empty``).
+#: (``single-pool-empty``).  ``learned-wrap`` is the only mode whose
+#: learned-routing models outgrow their sample window.
 GOLDEN_MODES = (
     "single",
     "tenants",
@@ -51,6 +53,7 @@ GOLDEN_MODES = (
     "tenant-loss",
     "sharded-tenant-loss",
     "single-pool-empty",
+    "learned-wrap",
 )
 
 
@@ -74,3 +77,11 @@ def test_manifest_pins_exactly_the_golden_modes():
 @pytest.mark.parametrize("mode", GOLDEN_MODES)
 def test_artifacts_match_manifest(mode, tmp_path):
     assert mode_digests(mode, tmp_path) == load_manifest()[mode]
+
+
+def test_learned_wrap_outgrows_the_window():
+    """Every shard model refits past a full window, or the pin is moot."""
+    window = LearnedRouting().window
+    per_shard = run_mode("learned-wrap").routing["per_shard"]
+    assert len(per_shard) == 2
+    assert all(shard["samples"] > window for shard in per_shard.values())
