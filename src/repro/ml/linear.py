@@ -33,11 +33,17 @@ class LinearRegression:
             raise ModelError(f"shape mismatch: X {X.shape}, y {Y.shape}")
         if X.shape[0] < 2:
             raise ModelError("need at least 2 samples to fit a line")
-        mu = X.mean(axis=0)
-        sd = X.std(axis=0)
+        # ``X.mean``/``X.std`` fused: the same float ops in the same
+        # order, with the deviations computed once and the design
+        # matrix written in place of an ``hstack`` copy.
+        n, d = X.shape
+        mu = np.add.reduce(X, axis=0) / n
+        dev = X - mu
+        sd = np.sqrt(np.add.reduce(dev * dev, axis=0) / n)
         sd[sd == 0] = 1.0
-        Xs = (X - mu) / sd
-        A = np.hstack([Xs, np.ones((X.shape[0], 1))])
+        A = np.empty((n, d + 1))
+        np.divide(dev, sd, out=A[:, :d])
+        A[:, d] = 1.0
         W, *_ = np.linalg.lstsq(A, Y, rcond=None)
         w_std = W[:-1]
         b_std = W[-1]

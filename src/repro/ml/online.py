@@ -15,11 +15,15 @@ current window every ``refit_interval`` observations (and once
 immediately when ``min_samples`` is first reached).  Everything is
 deterministic: no RNG is drawn, and the refit cadence is a pure
 function of the observation sequence.
+
+The window lives in a preallocated *doubled* ring buffer of
+``2 * window`` rows: sample ``i`` is written at ring slot
+``i % window`` and again ``window`` rows later, so the last ``window``
+samples are always one contiguous, chronological slice.  A refit hands
+that slice to ``fit`` as a view, with no per-refit stacking or copy.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -40,6 +44,8 @@ class SlidingWindowRegressor:
         windows.
     window:
         Maximum samples retained; older samples fall off the far end.
+        The model's ``fit`` receives the retained samples as read-only
+        views into the ring buffer and must not keep them.
     refit_interval:
         Observations between refits once the model is warm.
     min_samples:
@@ -68,7 +74,11 @@ class SlidingWindowRegressor:
                 f"min_samples ({min_samples}) cannot exceed window ({window})"
             )
         self._factory = model_factory
-        self._window: deque[tuple[np.ndarray, float]] = deque(maxlen=window)
+        self.window = int(window)
+        #: Doubled ring buffer, allocated at the first sample (whose
+        #: length fixes the feature count).
+        self._X: np.ndarray | None = None
+        self._y = np.empty(2 * self.window)
         self.refit_interval = int(refit_interval)
         self.min_samples = int(min_samples)
         self._model = None
@@ -82,19 +92,32 @@ class SlidingWindowRegressor:
 
     def observe(self, x, y: float) -> bool:
         """Feed one sample; returns ``True`` when a refit happened."""
-        self._window.append((np.asarray(x, dtype=np.float64), float(y)))
+        x = np.asarray(x, dtype=np.float64)
+        if self._X is None:
+            self._X = np.empty((2 * self.window, x.shape[-1]))
+        slot = self.samples % self.window
+        self._X[slot] = self._X[slot + self.window] = x
+        self._y[slot] = self._y[slot + self.window] = float(y)
         self.samples += 1
         self._since_fit += 1
-        warm_enough = len(self._window) >= self.min_samples
+        warm_enough = self.samples >= self.min_samples  # min_samples <= window
         due = self._model is None or self._since_fit >= self.refit_interval
         if not (warm_enough and due):
             return False
-        X = np.stack([x for x, _ in self._window])
-        Y = np.array([y for _, y in self._window])
-        self._model = self._factory().fit(X, Y)
+        self._model = self._factory().fit(*self.retained)
         self._since_fit = 0
         self.refits += 1
         return True
+
+    @property
+    def retained(self) -> tuple[np.ndarray, np.ndarray]:
+        """The retained ``(X, y)`` samples, oldest first, as read-only views."""
+        n = min(self.samples, self.window)
+        start = (self.samples - n) % self.window
+        X = (self._X if self._X is not None else np.empty((0, 0)))[start:start + n]
+        y = self._y[start:start + n]
+        X.flags.writeable = y.flags.writeable = False
+        return X, y
 
     def predict_one(self, x) -> float | None:
         """Predicted target for one feature row, ``None`` while cold."""

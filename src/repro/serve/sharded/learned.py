@@ -62,15 +62,18 @@ FEATURE_NAMES = (
 _MIB = 1024**2
 
 
-def route_features(vector, snap: ShardSnapshot) -> np.ndarray:
-    """Feature row for placing ``vector`` on the shard behind ``snap``."""
+def _input_bytes(vector) -> dict[int, int]:
+    """``{uid: nbytes}`` over the vector's distinct inputs, first-seen order."""
     uids: dict[int, int] = {}
     for pair in vector.pairs:
         for spec in pair.inputs:
             uids.setdefault(spec.uid, spec.nbytes)
-    overlap = sum(
-        nbytes for uid, nbytes in uids.items() if uid in snap.residency
-    )
+    return uids
+
+
+def _feature_row(num_pairs: int, uids: dict[int, int], snap: ShardSnapshot) -> np.ndarray:
+    residency = snap.residency
+    overlap = sum(nbytes for uid, nbytes in uids.items() if uid in residency)
     return np.array(
         [
             snap.queue_depth,
@@ -84,12 +87,17 @@ def route_features(vector, snap: ShardSnapshot) -> np.ndarray:
             snap.quarantines,
             snap.breaker,
             snap.blame,
-            len(vector.pairs),
+            num_pairs,
             len(uids),
             overlap / _MIB,
         ],
         dtype=np.float64,
     )
+
+
+def route_features(vector, snap: ShardSnapshot) -> np.ndarray:
+    """Feature row for placing ``vector`` on the shard behind ``snap``."""
+    return _feature_row(len(vector.pairs), _input_bytes(vector), snap)
 
 
 class LearnedRouting(RoutingPolicy):
@@ -152,6 +160,10 @@ class LearnedRouting(RoutingPolicy):
         self.events: list[dict] = []
         self._warm = False
         self._last_kind = "fallback"
+        #: ``(vector, _input_bytes(vector))`` of the vector being placed:
+        #: one input scan serves every candidate row in ``choose`` and
+        #: the ``note_placed`` that commits the pick.
+        self._inputs_memo: tuple | None = None
 
     def reseed(self, seed) -> None:
         """Rebind the exploration stream (the server derives it per run)."""
@@ -168,14 +180,27 @@ class LearnedRouting(RoutingPolicy):
             self._models[node] = m
         return m
 
+    def _features(self, vector, snap: ShardSnapshot) -> np.ndarray:
+        """``route_features(vector, snap)``, scanning each vector's inputs once.
+
+        Vectors are immutable once admitted, so the memo is keyed on
+        identity and holds the vector itself (its id cannot be reused).
+        """
+        memo = self._inputs_memo
+        if memo is None or memo[0] is not vector:
+            memo = self._inputs_memo = (vector, _input_bytes(vector))
+        return _feature_row(len(vector.pairs), memo[1], snap)
+
     def choose(self, vector, snapshots: list[ShardSnapshot]) -> int:
         self.decisions += 1
-        if any(
-            self.model(s.node).samples < self.min_samples for s in snapshots
-        ):
-            self.fallback_decisions += 1
-            self._last_kind = "fallback"
-            return rank_shards(snapshots)
+        models = []
+        for snap in snapshots:
+            model = self.model(snap.node)
+            if model.samples < self.min_samples:
+                self.fallback_decisions += 1
+                self._last_kind = "fallback"
+                return rank_shards(snapshots)
+            models.append(model)
         if self.explore_floor > 0.0:
             draw = float(self._rng.random())
         else:
@@ -188,10 +213,8 @@ class LearnedRouting(RoutingPolicy):
         self.learned_decisions += 1
         self._last_kind = "learned"
         best_node, best_pred = None, None
-        for snap in snapshots:
-            pred = self.model(snap.node).predict_one(
-                route_features(vector, snap)
-            )
+        for snap, model in zip(snapshots, models):
+            pred = model.predict_one(self._features(vector, snap))
             if pred is None:  # pragma: no cover - warm models always predict
                 pred = float("inf")
             if (
@@ -206,7 +229,7 @@ class LearnedRouting(RoutingPolicy):
 
     def note_placed(self, ticket, snap: ShardSnapshot, now: float) -> None:
         """Record the pending sample for a just-placed ticket."""
-        x = route_features(ticket.vector, snap)
+        x = self._features(ticket.vector, snap)
         pred = self.model(snap.node).predict_one(x)
         ticket.route_sample = (snap.node, now, x, pred, self._last_kind)
 

@@ -50,6 +50,51 @@ class TestLinearRegression:
             LinearRegression().predict(np.zeros((1, 2)))
 
 
+def reference_linear_fit(X, Y):
+    """``LinearRegression.fit`` as ``X.mean``/``X.std``/``hstack``."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    mu = X.mean(axis=0)
+    sd = X.std(axis=0)
+    sd[sd == 0] = 1.0
+    A = np.hstack([(X - mu) / sd, np.ones((X.shape[0], 1))])
+    W, *_ = np.linalg.lstsq(A, Y, rcond=None)
+    return (W[:-1].T / sd).T, W[-1] - (mu / sd) @ W[:-1]
+
+
+class TestLinearFitBitIdentity:
+    """The fused fit is the textbook formulation to the last bit."""
+
+    @pytest.mark.parametrize("trial", range(40))
+    def test_matches_reference_formulation(self, trial):
+        rng = np.random.default_rng(trial)
+        n, d = int(rng.integers(2, 521)), 14
+        X = rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, size=d)
+        X[:, rng.integers(d)] = rng.standard_normal()  # zero variance
+        X[:, rng.integers(d)] = rng.integers(0, 5, size=n)  # integer-valued
+        Y = rng.standard_normal((n, 1 + trial % 2)).squeeze()
+        coef, intercept = reference_linear_fit(X, Y)
+        m = LinearRegression().fit(X, Y)
+        assert np.array_equal(m.coef_, coef)
+        assert np.array_equal(m.intercept_, intercept)
+
+    def test_all_columns_constant(self):
+        X = np.full((6, 3), 2.5)
+        y = np.arange(6.0)
+        coef, intercept = reference_linear_fit(X, y)
+        m = LinearRegression().fit(X, y)
+        assert np.array_equal(m.coef_, coef)
+        assert np.array_equal(m.intercept_, intercept)
+
+    def test_fit_leaves_inputs_untouched(self, rng):
+        X = rng.standard_normal((20, 3))
+        X.flags.writeable = False
+        y = rng.standard_normal(20)
+        LinearRegression().fit(X, y)
+
+
 class TestRandomForest:
     def test_beats_linear_on_nonlinear_target(self, rng):
         X, Y = nonlinear_data(rng)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.ml import SlidingWindowRegressor
+from repro.ml.linear import LinearRegression
 
 
 def feed_line(model, n, slope=2.0, intercept=1.0, start=0):
@@ -83,7 +84,50 @@ class TestWindow:
         m = SlidingWindowRegressor(window=4, min_samples=2, refit_interval=1)
         feed_line(m, 100)
         assert m.samples == 100
-        assert len(m._window) == 4
+        X, y = m.retained
+        assert len(X) == len(y) == 4
+
+
+class TestRingBufferBitIdentity:
+    """Refits over the ring buffer equal a fresh fit over the window."""
+
+    @pytest.mark.parametrize("window", [2, 7, 64])
+    @pytest.mark.parametrize("refit_interval", [1, 3, 16])
+    def test_every_refit_matches_a_fresh_fit(self, window, refit_interval):
+        rng = np.random.default_rng(window * 100 + refit_interval)
+        n, d = 3 * window, 5
+        xs = rng.standard_normal((n, d)) * [1.0, 10.0, 1e-3, 0.0, 1.0]
+        xs[:, 4] = rng.integers(0, 3, size=n)  # integer-valued column
+        ys = xs @ [1.0, -2.0, 3.0, 0.0, 0.5] + rng.standard_normal(n)
+        m = SlidingWindowRegressor(
+            window=window, refit_interval=refit_interval, min_samples=2
+        )
+        probe = rng.standard_normal(d)
+        refits = 0
+        for i in range(n):
+            if not m.observe(xs[i], ys[i]):
+                continue
+            refits += 1
+            lo = max(0, i + 1 - window)
+            ref = LinearRegression().fit(
+                np.stack(list(xs[lo:i + 1])), np.array(ys[lo:i + 1])
+            )
+            assert np.array_equal(m._model.coef_, ref.coef_)
+            assert np.array_equal(m._model.intercept_, ref.intercept_)
+            assert m.predict_one(probe) == ref.predict(probe).item()
+        assert refits == m.refits >= 1
+
+    def test_retained_is_chronological_and_read_only(self):
+        m = SlidingWindowRegressor(window=4, min_samples=2)
+        X, y = m.retained
+        assert len(X) == len(y) == 0
+        for i in range(10):
+            m.observe([float(i), -float(i)], float(i))
+        X, y = m.retained
+        assert y.tolist() == [6.0, 7.0, 8.0, 9.0]
+        assert X[:, 0].tolist() == [6.0, 7.0, 8.0, 9.0]
+        with pytest.raises(ValueError):
+            y[0] = 0.0
 
 
 class TestDeterminism:

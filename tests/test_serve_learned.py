@@ -151,7 +151,7 @@ class TestSampleLifecycle:
         assert ticket.route_sample is None
         assert policy.model(0).samples == 1
         # The observed label is the route->completion latency.
-        assert policy.model(0)._window[-1][1] == pytest.approx(0.5)
+        assert policy.model(0).retained[1][-1] == pytest.approx(0.5)
 
     def test_non_completions_drop_the_sample(self):
         # Reroutes / sheds / hedge losers must not poison the model
