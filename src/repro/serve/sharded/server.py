@@ -57,7 +57,7 @@ from repro.serve.sharded.node import NodeRuntime, ShardView
 from repro.serve.sharded.routing import RoutingPolicy, make_routing_policy
 from repro.serve.tenancy import TenantStream
 from repro.serve.tenancy import build_streams  # noqa: F401  (wrapped by name by perfbench)
-from repro.serve.timeline import DeviceRestore, Ticket
+from repro.serve.timeline import DeviceOnline, DeviceRestore, Ticket
 from repro.tensor.spec import VectorSpec
 
 #: Test hook invoked at the top of every :meth:`GlobalScheduler.sync`
@@ -529,13 +529,22 @@ class ShardedServer(MiccoServer):
         loss, ``replace_lost`` warm-ups).  A shard left with no alive
         device re-homes its in-flight orphans on router-chosen shards
         that still have one.  A fail-stop loss also marks that shard
-        dead and re-routes its queue through the global tier; a
-        ``node_flap`` does *not* — the flap is unannounced, so the
-        shard keeps its queue and its stale digest, and one
-        :class:`DeviceRestore` per device brings it back
-        ``duration_s`` later.
+        dead and re-routes its queue through the global tier — unless
+        its autoscaler still holds a healthy retired spare: then the
+        shard keeps its queue, stays routable and warms a spare
+        (``replace_lost`` replaces every lost device; otherwise one
+        warm-up restores the ``min_devices`` floor).  Such a shard dies
+        the same way if a later fault takes its last spare before one
+        comes online.  A ``node_flap`` of alive devices never kills a
+        shard — the flap is unannounced, so the shard keeps its queue
+        and its stale digest, and one :class:`DeviceRestore` per device
+        brings it back ``duration_s`` later.
         """
+        waiting = [rt for rt in run.runtimes.values() if self._awaits_spare(rt)]
         orphaned = self._fail_domain(run, fault)
+        for shard in waiting:
+            if not self._has_spare(shard):
+                self._kill_shard(run, shard, now)
         if not orphaned:
             return
         flap = fault.kind is FaultKind.NODE_FLAP
@@ -555,17 +564,11 @@ class ShardedServer(MiccoServer):
             shard = run.runtimes[node]
             lost = by_shard[node]
             whole = shard.view.num_alive == 0
-            died = whole and not flap
+            died = whole and not flap and not self._has_spare(shard)
             if not whole:
                 self._rescale_bounds(shard, shard.view.num_alive + len(lost), shard.view.num_alive)
             elif died:
-                shard.dead = True
-                shard.inflight = 0
-                shard.inflight_tickets.clear()
-                shard.pending_online.clear()
-                router.digests.pop(node, None)
-                for t in shard.drain_queue():
-                    self._reroute(run, t, now)
+                self._kill_shard(run, shard, now)
             for ticket in self._orphans_of(run, lost):
                 if died:
                     # The charge cannot complete on the dead shard; drop
@@ -592,13 +595,11 @@ class ShardedServer(MiccoServer):
                     target.rerouted_in += 1
                 latest = max(latest, complete)
                 rescheduled += 1
-            if (
-                not whole
-                and not flap
-                and shard.scaler is not None
-                and shard.scaler.config.replace_lost
-            ):
-                self._replace_lost(run, shard, now, len(lost))
+            if not (died or flap) and shard.scaler is not None:
+                if shard.scaler.config.replace_lost:
+                    self._replace_lost(run, shard, now, len(lost))
+                elif whole:
+                    self._replace_lost(run, shard, now, 1)
         stats = run.injector.stats
         if not recover:
             stats.record_recovery(fault.kind.value, 0.0)
@@ -609,6 +610,40 @@ class ShardedServer(MiccoServer):
                 "recovery", fault.device, now, max(latest - now, 0.0),
                 label=f"rescheduled {rescheduled} vectors",
             )
+
+    def _kill_shard(self, run: RunState, shard: NodeRuntime, now: float) -> None:
+        """Mark ``shard`` dead and re-route its queue through the global tier."""
+        shard.dead = True
+        shard.inflight = 0
+        shard.inflight_tickets.clear()
+        shard.pending_online.clear()
+        run.router.digests.pop(shard.node, None)
+        for t in shard.drain_queue():
+            self._reroute(run, t, now)
+
+    def _has_spare(self, shard: NodeRuntime) -> bool:
+        """``shard`` can warm a healthy retired device (or is warming one)."""
+        return shard.scaler is not None and any(
+            d in shard.devices for d in self.cluster.offline_ids()
+        )
+
+    def _awaits_spare(self, shard: NodeRuntime) -> bool:
+        """A live shard with no alive device that waits on a spare warm-up.
+
+        Only a fail-stop loss with a spare left produces this state: a
+        flap fails every device of its node, spares included, and the
+        autoscaler never retires a pool's last device.
+        """
+        return not shard.dead and shard.view.num_alive == 0 and self._has_spare(shard)
+
+    def _on_device_online(self, run: RunState, event: DeviceOnline, now: float) -> None:
+        """A spare warmed into a shard left with no alive device serves
+        the queue that waited for it."""
+        rt = run.owner[event.device]
+        revived = rt.view.num_alive == 0
+        super()._on_device_online(run, event, now)
+        if revived:
+            self._refill(run, rt, now)
 
     def _orphans_of(self, run: RunState, dead: set[int]) -> list[Ticket]:
         """In-flight tickets with pairs on ``dead`` devices, by vector id."""

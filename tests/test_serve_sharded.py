@@ -240,6 +240,57 @@ class TestShardDeath:
         assert s["completed"] + s["dropped"] == s["offered"]
         assert [x["dead"] for x in result.sharding["shards"]] == [True, False]
 
+    @staticmethod
+    def run_on_one_active_device(*events, replace_lost=False):
+        # Each shard starts on one device with three healthy retired
+        # spares.
+        from repro.serve import AutoscalerConfig, serve
+
+        autoscaler = AutoscalerConfig(
+            min_devices=1, max_devices=4, initial_devices=1,
+            replace_lost=replace_lost,
+        )
+        params = WorkloadParams(
+            vector_size=8, tensor_size=64, repeated_rate=0.6, num_vectors=40, batch=2
+        )
+        result = serve(
+            ServeConfig(sharded=True, faults=FaultPlan(events), autoscaler=autoscaler),
+            cluster=sharded_config(),
+            scheduler=MiccoScheduler(ReuseBounds(0, 4, 0)),
+            vectors=SyntheticWorkload(params, seed=3).vectors(),
+            arrivals=PoissonArrivals(4000.0), seed=11,
+        )
+        assert len(result.arrival_s) == 40
+        assert len(result.report.completed) + result.dropped == 40
+        return result
+
+    @pytest.mark.parametrize("replace_lost", [True, False])
+    def test_losing_the_last_active_device_keeps_a_shard_with_spares(self, replace_lost):
+        # Losing shard 0's only active device must not kill it: its
+        # orphans re-home through the router, it stays routable, and it
+        # warms a spare (``replace_lost`` or not, the autoscaler's
+        # min_devices floor needs one).
+        result = self.run_on_one_active_device(
+            FaultEvent(FaultKind.DEVICE_LOST, 4e-3, 0), replace_lost=replace_lost,
+        )
+        shard = result.sharding["shards"][0]
+        assert not shard["dead"]
+        assert shard["alive"] > 0
+        first = next(a for a in result.autoscale["actions"] if a["device"] in shard["devices"])
+        assert (first["action"], first["device"], first["time_s"] >= 4e-3) == ("up", 1, True)
+        assert "replace lost device" in first["reason"]
+
+    @pytest.mark.parametrize("kind", [FaultKind.NODE_LOST, FaultKind.NODE_FLAP])
+    def test_a_shard_dies_when_its_spares_die_before_warming(self, kind):
+        # The spares go down while shard 0 waits on its first warm-up
+        # (0.05 s): with nothing left to bring online it dies, and its
+        # queue re-routes instead of stranding.
+        result = self.run_on_one_active_device(
+            FaultEvent(FaultKind.DEVICE_LOST, 4e-3, 0),
+            FaultEvent(kind, 6e-3, 1, duration_s=1e-3),
+        )
+        assert [x["dead"] for x in result.sharding["shards"]] == [True, False]
+
     def test_partial_loss_keeps_the_shard_serving(self):
         # device_lost inside a shard shrinks it without killing it.
         plan = FaultPlan((FaultEvent(FaultKind.DEVICE_LOST, 0.01, 5),))
