@@ -84,6 +84,10 @@ class ClusterState:
         """Devices still healthy (total minus permanently lost)."""
         return len(self._alive)
 
+    def device_spec(self, device_id: int) -> DeviceSpec:
+        """The spec of ``device_id`` (shard views delegate this lookup)."""
+        return self.devices[device_id]
+
     def is_alive(self, device_id: int) -> bool:
         return device_id in self._alive
 
@@ -135,8 +139,8 @@ class ClusterState:
     def free_bytes_batch(self, device_ids) -> np.ndarray:
         """Free bytes for every device in ``device_ids``, as one array.
 
-        Batch counterpart of :meth:`free_bytes` for the vectorised
-        scoring path (:meth:`~repro.gpusim.costmodel.CostModel.score_batch`).
+        Batch counterpart of :meth:`free_bytes` for vectorised scoring
+        (the cost-greedy baseline's per-device estimates).
         """
         pools = self.pools
         return np.fromiter(

@@ -135,49 +135,14 @@ class CostModel:
         copy = self.d2d_time(spec.nbytes) if from_device else self.h2d_time(spec.nbytes)
         return self.alloc_time(spec.nbytes) + copy
 
-    # ------------------------------------------------------- batch scoring
-    def score_batch(
-        self,
-        device_ids: np.ndarray,
-        incoming_bytes: np.ndarray,
-        free_bytes: np.ndarray,
-        compute_s: np.ndarray,
-        *,
-        eviction_sensitive: bool = True,
-    ) -> int:
-        """Vectorised Alg. 2 selection over all candidate devices at once.
-
-        All four arrays are parallel over the candidate set:
-        ``device_ids`` the candidate device ids, ``incoming_bytes`` the
-        new bytes the pair would bring to each candidate,
-        ``free_bytes`` each candidate's free memory, ``compute_s`` its
-        accumulated computation.  Returns the winning *device id*.
-
-        The decision is exactly the paper's: normally least computation
-        (ties → most free memory → lowest id); when placing the pair
-        would evict on some candidate and ``eviction_sensitive`` is on,
-        most free memory (ties → least computation → lowest id).  All
-        comparisons are on the same scalar values the object path uses,
-        so the pick is bit-identical — just computed in array ops
-        instead of per-candidate Python tuples.
-        """
-        if device_ids.size == 0:
-            raise ConfigurationError("score_batch needs at least one candidate")
-        evict = eviction_sensitive and bool(np.any(incoming_bytes > free_bytes))
-        if evict:
-            keys = (-free_bytes, compute_s, device_ids)
-        else:
-            keys = (compute_s, -free_bytes, device_ids)
-        return int(device_ids[lex_argmin(*keys)])
-
 
 def lex_argmin(*keys: np.ndarray) -> int:
     """Index of the lexicographically smallest tuple across key arrays.
 
     ``keys`` are parallel arrays, most significant first — the
     vectorised equivalent of ``min(range(n), key=lambda i: tuple_i)``.
-    Shared by the schedulers' batch placement and the sharded router's
-    digest scoring.
+    Shared by the baseline schedulers' placement and the sharded
+    router's digest scoring.
     """
     idx = None
     for key in keys:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro import compat
 from repro.errors import CapacityError
 from repro.utils.validation import check_in, check_positive
 
@@ -94,26 +93,16 @@ class MemoryPool:
         self._resident.move_to_end(uid)
 
     def _victim_order(self, protect) -> list[int]:
-        """Unprotected uids in eviction-preference order for the policy."""
+        """Unprotected uids in eviction-preference order (FIFO/largest).
+
+        LRU needs no sort — the resident dict iterates least recently
+        used first — so :meth:`allocate` scans it inline instead.
+        """
         candidates = [u for u in self._resident if u not in protect]
-        if self.policy == "lru":
-            return candidates  # OrderedDict iterates LRU first
         if self.policy == "fifo":
             return sorted(candidates, key=lambda u: self._insertion[u])
         # "largest": biggest footprint first; ties oldest-first.
         return sorted(candidates, key=lambda u: (-self._resident[u], self._insertion[u]))
-
-    def _victim_iter(self, protect):
-        """Lazy :meth:`_victim_order` — same sequence, no full scan.
-
-        Eviction loops usually stop after a handful of victims, so for
-        LRU (iteration order *is* preference order) a generator avoids
-        rebuilding the whole candidate list per oversubscribed
-        allocation.  FIFO/largest need the global sort either way.
-        """
-        if self.policy == "lru" and not compat.REFERENCE_CORE:
-            return (u for u in self._resident if u not in protect)
-        return iter(self._victim_order(protect))
 
     def allocate(self, uid: int, nbytes: int, protect: set[int] | frozenset[int] = frozenset()) -> list[Residency]:
         """Allocate ``nbytes`` for ``uid``, evicting victims if needed.
@@ -138,8 +127,9 @@ class MemoryPool:
             # walks the resident dict), then evict them.
             short = nbytes - (capacity - self._used)
             victims: list[int] = []
-            if self.policy == "lru" and not compat.REFERENCE_CORE:
-                # Inline LRU scan: OrderedDict order *is* preference order.
+            if self.policy == "lru":
+                # Inline LRU scan: OrderedDict order *is* preference
+                # order, and the loop usually stops after a few victims.
                 for victim in resident:
                     if victim in protect:
                         continue
@@ -148,7 +138,7 @@ class MemoryPool:
                     if short <= 0:
                         break
             else:
-                for victim in self._victim_iter(protect):
+                for victim in self._victim_order(protect):
                     victims.append(victim)
                     short -= resident[victim]
                     if short <= 0:

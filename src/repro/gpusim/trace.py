@@ -182,7 +182,7 @@ class TraceConfig:
         * ``"full"`` — attach a :class:`TraceRecorder` with a
           :class:`FullSink` for the run; every engine event is kept
           (``ServeResult.engine_trace``).  Opting in routes execution
-          through the traced (reference) engine path.
+          through the engine's full (traced) execution path.
         * ``"sampling"`` — as ``"full"`` but with a
           :class:`SamplingSink` keeping 1 in ``sample_stride`` events.
         * ``"off"`` — no recorder *and* ``ServeResult.to_trace()``

@@ -16,28 +16,14 @@ paper uses ``random()``, so experiment runs are reproducible.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import compat
 from repro.errors import SchedulingError
 from repro.gpusim.cluster import ClusterState
-from repro.gpusim.costmodel import CostModel
 from repro.schedulers.base import Scheduler
 from repro.schedulers.bounds import ReuseBounds
-from repro.schedulers.reuse_patterns import ReusePattern, classify_pair
+from repro.schedulers.reuse_patterns import ReusePattern
 from repro.tensor.spec import TensorPair, VectorSpec
 
-#: Shared default scoring model — Alg. 2 scoring only reads cluster
-#: state, so a parameterless model serves every scheduler instance.
-_DEFAULT_COST_MODEL = CostModel()
-
-#: Candidate-set width at which the numpy batch scorer overtakes the
-#: fused scalar pass.  Below this, per-array-op overhead (~1 µs each)
-#: costs more than it saves; candidate queues on small clusters are
-#: typically 1–8 wide.
-VECTOR_MIN_CANDIDATES = 12
-
-#: Shared empty holder set for the classification fast path.
+#: Shared empty holder set for pairs with a non-resident input.
 _EMPTY_SET: frozenset[int] = frozenset()
 
 
@@ -57,31 +43,13 @@ def incoming_bytes(pair: TensorPair, device_id: int, cluster: ClusterState) -> i
     return total
 
 
-def incoming_bytes_batch(pair: TensorPair, device_ids, cluster: ClusterState) -> np.ndarray:
-    """:func:`incoming_bytes` for every device in ``device_ids`` at once.
-
-    One holder-set lookup per distinct input instead of one residency
-    probe per (input, device) combination.
-    """
-    total = np.full(len(device_ids), pair.out.nbytes, dtype=np.int64)
-    left, right = pair.left, pair.right
-    inputs = (left,) if right.uid == left.uid else (left, right)
-    for spec in inputs:
-        holders = cluster.devices_holding(spec.uid)
-        nb = spec.nbytes
-        if not holders:
-            total += nb
-        else:
-            total += np.fromiter(
-                (0 if g in holders else nb for g in device_ids),
-                dtype=np.int64,
-                count=len(device_ids),
-            )
-    return total
-
-
 def would_evict(pair: TensorPair, device_id: int, cluster: ClusterState) -> bool:
-    """True if placing ``pair`` on ``device_id`` would trigger evictions."""
+    """True if placing ``pair`` on ``device_id`` would trigger evictions.
+
+    The per-candidate scalar form of Alg. 2's eviction test; the
+    scheduler's pick folds the same test into one pass over the
+    candidates' holder sets.
+    """
     return incoming_bytes(pair, device_id, cluster) > cluster.free_bytes(device_id)
 
 
@@ -114,13 +82,10 @@ class MiccoScheduler(Scheduler):
         *,
         pattern_aware: bool = True,
         eviction_sensitive: bool = True,
-        cost_model: CostModel | None = None,
     ):
         self.bounds = bounds if bounds is not None else ReuseBounds.zeros()
         self.pattern_aware = pattern_aware
         self.eviction_sensitive = eviction_sensitive
-        #: Scoring model for the vectorised Alg. 2 selection.
-        self.cost_model = cost_model or _DEFAULT_COST_MODEL
         #: Pattern histogram, for introspection/experiments.
         self.pattern_counts: dict[ReusePattern, int] = {p: 0 for p in ReusePattern}
 
@@ -134,194 +99,40 @@ class MiccoScheduler(Scheduler):
         pass
 
     # -------------------------------------------------------------- Alg. 1
-    def _available(self, device_id: int, tier: int, cluster: ClusterState) -> bool:
-        """The paper's availability test for reuse-bound ``tier``."""
-        return cluster.assigned_slots[device_id] < self.bounds[tier] + cluster.balance_num
+    @staticmethod
+    def _holders(pair: TensorPair, cluster: ClusterState) -> tuple:
+        """The devices holding ``pair``'s left and right inputs.
 
-    def build_candidates(self, pair: TensorPair, cluster: ClusterState) -> list[int]:
-        """Alg. 1 steps I–II: the candidate queue for ``pair``.
-
-        Returned device ids are unique and in ascending order (the order
-        itself never matters — Alg. 2 selects by cost, ties by id).
+        Reads the live holder index (no frozenset copies).  A ShardView
+        carries ``_device_set``; its ``devices_holding`` scopes holders
+        to the shard, and reading the raw index must apply the same
+        scoping or candidates leak off-shard.
         """
-        if compat.REFERENCE_CORE:
-            cls = classify_pair(pair, cluster)
-            self.pattern_counts[cls.pattern] += 1
-            return self._build_candidates_ref(cls, cluster)
-
-        # Fast path: classify against the live holder index (no
-        # frozenset copies) and hoist the availability threshold out of
-        # the scans (``bounds[tier] + balance_num`` is per-tier constant
-        # within a pair) — same tests, evaluated once each.
         holders_map = cluster._holders
+        dset = getattr(cluster, "_device_set", None)
         lu = pair.left.uid
         ru = pair.right.uid
-        left = holders_map.get(lu) or _EMPTY_SET
-        right = left if ru == lu else (holders_map.get(ru) or _EMPTY_SET)
-        common = left & right
-        if common:
-            pattern = ReusePattern.TWO_REPEATED_SAME
-        elif left and right:
-            pattern = ReusePattern.TWO_REPEATED_DIFF
-        elif left or right:
-            pattern = ReusePattern.ONE_REPEATED
-        else:
-            pattern = ReusePattern.TWO_NEW
-        self.pattern_counts[pattern] += 1
-
-        slots = cluster.assigned_slots.tolist()
-        balance = cluster.balance_num
-        bounds = self.bounds
-        if self.pattern_aware:
-            # Step I: devices holding both tensors, under the tier-0 bound.
-            if common:
-                thr = bounds[0] + balance
-                candi = [g for g in sorted(common) if slots[g] < thr]
-                if candi:
-                    return candi
-
-            # Step II: devices holding one tensor, under the tier-1 bound.
-            any_h = left | right
-            if any_h:
-                thr = bounds[1] + balance
-                candi = [g for g in sorted(any_h) if slots[g] < thr]
-                if candi:
-                    return candi
-
-        # Fallback: any *surviving* device under the tier-2 bound.
-        # (Steps I–II are alive-safe for free: lost devices hold no
-        # tensors, so they never appear among the holders.)
-        thr = bounds[2] + balance
-        candi = [g for g in cluster.alive_ids() if slots[g] < thr]
-        if candi:
-            return candi
-
-        # Defensive: with bounds >= 0 some device is always below the
-        # balanced share mid-vector, but guard against degenerate
-        # configurations (e.g. externally mutated counters).
-        return cluster.alive_ids()
-
-    def _build_candidates_ref(self, cls, cluster: ClusterState) -> list[int]:
-        """Original per-candidate Alg. 1 scan (golden-reference path)."""
-        if self.pattern_aware:
-            candi = [g for g in sorted(cls.common_holders) if self._available(g, 0, cluster)]
-            if candi:
-                return candi
-            candi = [g for g in sorted(cls.any_holders) if self._available(g, 1, cluster)]
-            if candi:
-                return candi
-        candi = [g for g in cluster.alive_ids() if self._available(g, 2, cluster)]
-        if candi:
-            return candi
-        return cluster.alive_ids()
-
-    # -------------------------------------------------------------- Alg. 2
-    def select(self, candidates: list[int], pair: TensorPair, cluster: ClusterState) -> int:
-        """Alg. 2: computation-centric vs memory-eviction-sensitive pick."""
-        if not candidates:
-            raise SchedulingError("empty candidate queue")
-        if compat.REFERENCE_CORE:
-            return self._select_ref(candidates, pair, cluster)
-        n = len(candidates)
-        if n == 1:
-            return candidates[0]
-        if n < VECTOR_MIN_CANDIDATES:
-            return self._select_small(candidates, pair, cluster)
-        cand = np.asarray(candidates, dtype=np.int64)
-        return self.cost_model.score_batch(
-            cand,
-            incoming_bytes_batch(pair, candidates, cluster),
-            cluster.free_bytes_batch(candidates),
-            cluster.compute_s[cand],
-            eviction_sensitive=self.eviction_sensitive,
-        )
-
-    def _select_small(self, candidates: list[int], pair: TensorPair, cluster: ClusterState) -> int:
-        """Alg. 2 for narrow candidate sets: one fused scalar pass.
-
-        Bit-identical to :meth:`~repro.gpusim.costmodel.CostModel.score_batch`
-        on the same inputs — per-pair invariants (output bytes, holder
-        sets) are hoisted so each candidate costs two set probes and a
-        couple of comparisons, which beats array-op overhead below
-        :data:`VECTOR_MIN_CANDIDATES` devices.
-        """
-        pools = cluster.pools
-        compute = cluster.compute_s
-        holders_map = cluster._holders
-        left, right = pair.left, pair.right
-        out_b = pair.out.nbytes
-        lh = holders_map.get(left.uid) or _EMPTY_SET
-        l_nb = left.nbytes
-        two = right.uid != left.uid
-        if two:
-            rh = holders_map.get(right.uid) or _EMPTY_SET
-            r_nb = right.nbytes
-        free = [pools[g].free_bytes for g in candidates]
-        if self.eviction_sensitive:
-            evict = False
-            for i, g in enumerate(candidates):
-                inc = out_b
-                if g not in lh:
-                    inc += l_nb
-                if two and g not in rh:
-                    inc += r_nb
-                if inc > free[i]:
-                    evict = True
-                    break
-        else:
-            evict = False
-        best = None
-        best_key = None
-        for i, g in enumerate(candidates):
-            key = (-free[i], compute[g], g) if evict else (compute[g], -free[i], g)
-            if best_key is None or key < best_key:
-                best, best_key = g, key
-        return best
-
-    def _select_ref(self, candidates: list[int], pair: TensorPair, cluster: ClusterState) -> int:
-        """Original per-candidate Alg. 2 pick (golden-reference path)."""
-        evict_flag = self.eviction_sensitive and any(
-            would_evict(pair, g, cluster) for g in candidates
-        )
-        compute = cluster.compute_s
-        if not evict_flag:
-            # Least computation; ties -> most free memory; ties -> lowest id.
-            key = lambda g: (compute[g], -cluster.free_bytes(g), g)
-        else:
-            # Most free memory; ties -> least computation; ties -> lowest id.
-            key = lambda g: (-cluster.free_bytes(g), compute[g], g)
-        return min(candidates, key=key)
-
-    def choose(self, pair: TensorPair, cluster: ClusterState) -> int:
-        """Alg. 1 + Alg. 2 fused: one pass from holder sets to device.
-
-        Equivalent to ``select(build_candidates(pair, cluster), ...)``
-        (the golden suite pins that equivalence), but the holder sets
-        are read once and the candidate tier is remembered: tier-0
-        candidates hold *both* inputs, so their incoming bytes are the
-        output alone and the per-candidate residency probes of
-        :meth:`_select_small` collapse to a constant.
-        """
-        if compat.REFERENCE_CORE:
-            return self.select(self.build_candidates(pair, cluster), pair, cluster)
-
-        holders_map = cluster._holders
-        # A ShardView carries ``_device_set``; its ``devices_holding``
-        # scopes holders to the shard, and reading the raw holder map
-        # must apply the same scoping or candidates leak off-shard.
-        dset = getattr(cluster, "_device_set", None)
-        left_spec, right_spec = pair.left, pair.right
-        lu = left_spec.uid
-        ru = right_spec.uid
         left = holders_map.get(lu) or _EMPTY_SET
         if dset is not None and left:
             left = left & dset
         if ru == lu:
-            right = left
-        else:
-            right = holders_map.get(ru) or _EMPTY_SET
-            if dset is not None and right:
-                right = right & dset
+            return left, left
+        right = holders_map.get(ru) or _EMPTY_SET
+        if dset is not None and right:
+            right = right & dset
+        return left, right
+
+    def _candidates(self, pair: TensorPair, cluster: ClusterState) -> tuple:
+        """Alg. 1 steps I–II: ``(candidates, tier, left_holders, right_holders)``.
+
+        ``tier`` is the reuse bound the queue passed: 0 for devices
+        holding both inputs, 1 for devices holding one, 2 for any alive
+        device.  Candidate ids are unique and ascending (the order never
+        matters — Alg. 2 selects by cost, ties by id).  The availability
+        test ``assigned_slots[g] < reuseBd[tier] + balanceNum`` has a
+        per-tier threshold, so each scan evaluates it once per device.
+        """
+        left, right = self._holders(pair, cluster)
         if left and right:
             common = left & right
             pattern = (
@@ -335,38 +146,55 @@ class MiccoScheduler(Scheduler):
         slots = cluster.assigned_slots.tolist()
         balance = cluster.balance_num
         bounds = self.bounds
-        candidates = None
-        tier = 2
         if self.pattern_aware:
+            # Step I: devices holding both tensors, under the tier-0 bound.
             if common:
                 thr = bounds[0] + balance
                 candi = [g for g in sorted(common) if slots[g] < thr]
                 if candi:
-                    candidates, tier = candi, 0
-            if candidates is None and (left or right):
-                any_h = left | right
+                    return candi, 0, left, right
+            # Step II: devices holding one tensor, under the tier-1 bound.
+            if left or right:
                 thr = bounds[1] + balance
-                candi = [g for g in sorted(any_h) if slots[g] < thr]
+                candi = [g for g in sorted(left | right) if slots[g] < thr]
                 if candi:
-                    candidates, tier = candi, 1
-        if candidates is None:
-            thr = bounds[2] + balance
-            candi = [g for g in cluster.alive_ids() if slots[g] < thr]
-            candidates = candi if candi else cluster.alive_ids()
+                    return candi, 1, left, right
 
+        # Fallback: any *surviving* device under the tier-2 bound.
+        # (Steps I–II are alive-safe for free: lost devices hold no
+        # tensors, so they never appear among the holders.)  With bounds
+        # >= 0 some device is always below the balanced share
+        # mid-vector; every alive device is the defensive answer for
+        # degenerate configurations (e.g. externally mutated counters).
+        alive = cluster.alive_ids()
+        thr = bounds[2] + balance
+        candi = [g for g in alive if slots[g] < thr]
+        return candi or alive, 2, left, right
+
+    def build_candidates(self, pair: TensorPair, cluster: ClusterState) -> list[int]:
+        """Alg. 1: the candidate queue for ``pair``."""
+        return self._candidates(pair, cluster)[0]
+
+    # -------------------------------------------------------------- Alg. 2
+    def _pick(
+        self, candidates: list[int], tier: int, left, right, pair: TensorPair,
+        cluster: ClusterState,
+    ) -> int:
+        """Alg. 2: one scalar pass over the candidate queue.
+
+        Normally the least computation wins (ties → most free memory →
+        lowest id).  When ``eviction_sensitive`` is on and placing the
+        pair would evict on some candidate, the most free memory wins
+        (ties → least computation → lowest id).  ``left``/``right`` are
+        the inputs' holder sets, so each candidate's eviction test costs
+        two set probes; tier-0 candidates hold both inputs, so their
+        incoming bytes are the output alone.
+        """
         n = len(candidates)
         if n == 1:
             return candidates[0]
-        if n >= VECTOR_MIN_CANDIDATES:
-            cand = np.asarray(candidates, dtype=np.int64)
-            return self.cost_model.score_batch(
-                cand,
-                incoming_bytes_batch(pair, candidates, cluster),
-                cluster.free_bytes_batch(candidates),
-                cluster.compute_s[cand],
-                eviction_sensitive=self.eviction_sensitive,
-            )
-
+        if not n:
+            raise SchedulingError("empty candidate queue")
         pools = cluster.pools
         compute = cluster.compute_s
         free = [pools[g].free_bytes for g in candidates]
@@ -374,13 +202,13 @@ class MiccoScheduler(Scheduler):
         if self.eviction_sensitive:
             out_b = pair.out.nbytes
             if tier == 0:
-                # Both inputs resident on every candidate.
                 for i in range(n):
                     if out_b > free[i]:
                         evict = True
                         break
             else:
-                two = ru != lu
+                left_spec, right_spec = pair.left, pair.right
+                two = right_spec.uid != left_spec.uid
                 l_nb = left_spec.nbytes
                 r_nb = right_spec.nbytes
                 for i, g in enumerate(candidates):
@@ -399,6 +227,15 @@ class MiccoScheduler(Scheduler):
             if best_key is None or key < best_key:
                 best, best_key = g, key
         return best
+
+    def select(self, candidates: list[int], pair: TensorPair, cluster: ClusterState) -> int:
+        """Alg. 2 over an arbitrary candidate queue."""
+        return self._pick(candidates, 2, *self._holders(pair, cluster), pair, cluster)
+
+    def choose(self, pair: TensorPair, cluster: ClusterState) -> int:
+        """Alg. 1 then Alg. 2: the device ``pair`` runs on."""
+        candidates, tier, left, right = self._candidates(pair, cluster)
+        return self._pick(candidates, tier, left, right, pair, cluster)
 
     def reset_stats(self) -> None:
         self.pattern_counts = {p: 0 for p in ReusePattern}

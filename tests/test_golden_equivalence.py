@@ -1,21 +1,24 @@
-"""Golden-report equivalence: vectorized core vs the reference core.
+"""Golden-report equivalence: the engine's fast path vs its full path.
 
-The vectorized simulator core (numpy batch scoring, fused candidate
-scans, lazy eviction bookkeeping, columnar traces) must produce
-*byte-identical* results to the original object-at-a-time code paths
-kept behind ``repro.compat.REFERENCE_CORE``.  Each test here runs the
-same fixed-seed workload through both cores and diffs the fully
-serialized artifacts — the latency-report JSON and the rendered Chrome
-trace — across every serving mode.
+The execution engine runs a pair through a trace-free fast path unless
+a fault injector, trace recorder or tensor store is attached, in which
+case it takes the full path.  Both must produce *byte-identical*
+results.  Each test here runs the same fixed-seed workload once by
+default (fast path unless the mode injects faults) and once with
+``ServeConfig(trace=TraceConfig("full"))``, which forces the full path,
+and diffs the serialized artifacts — the latency-report JSON and the
+Chrome trace rendered from it — and the summary.
+
+``run_mode`` and ``artifacts`` also define the fixed-seed modes that
+``tests/test_golden_manifest.py`` pins on disk by hash.
 """
 
 import json
 
 import pytest
 
-from repro import compat
 from repro.core.config import MiccoConfig
-from repro.gpusim import CostModel, Topology
+from repro.gpusim import CostModel, Topology, TraceConfig
 from repro.gpusim.device import GIB
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.schedulers.bounds import ReuseBounds
@@ -67,10 +70,10 @@ class FixedPredictor:
         return ReuseBounds(0, 3, 0)
 
 
-def run_stream(cfg, cluster, *, n=24, rate=4_000.0, predictor=None):
-    """One single-stream run of ``stream(n)`` at ``rate`` vectors/s."""
-    return serve(
-        cfg, cluster=cluster, scheduler=MiccoScheduler(ReuseBounds(0, 4, 0)),
+def single_stream(cluster, *, n=24, rate=4_000.0, predictor=None):
+    """``serve`` arguments for one run of ``stream(n)`` at ``rate`` vectors/s."""
+    return dict(
+        cluster=cluster, scheduler=MiccoScheduler(ReuseBounds(0, 4, 0)),
         predictor=predictor,
         vectors=stream(n), arrivals=PoissonArrivals(rate), seed=SEED,
     )
@@ -90,61 +93,69 @@ def flap(device, time_s=0.002, duration_s=0.001, count=2):
     )
 
 
-def run_mode(mode: str):
-    """One fixed-seed serving run in ``mode`` under the active core.
+def run_mode(mode: str, trace: TraceConfig | None = None):
+    """One fixed-seed serving run in ``mode``, optionally with ``trace`` set.
 
     Tensor uids come from a process-global counter and surface in
     integrity and cross-node labels, so every run starts it from zero.
     """
     reset_uid_counter()
+    cfg, kwargs = mode_setup(mode)
+    if trace is not None:
+        cfg = cfg.with_(trace=trace)
+    return serve(cfg, **kwargs)
+
+
+def mode_setup(mode: str):
+    """``(ServeConfig, serve keyword arguments)`` for ``mode``."""
     if mode == "single":
         cfg = ServeConfig(queue_capacity=16)
-        return run_stream(cfg, MiccoConfig(num_devices=4, memory_bytes=64 * MIB))
+        return cfg, single_stream(MiccoConfig(num_devices=4, memory_bytes=64 * MIB))
     if mode == "tenants":
         cfg = ServeConfig(queue_capacity=32, tenants=tenant_roster())
         cluster = MiccoConfig(num_devices=4, memory_bytes=2 * GIB)
-        return serve(cfg, cluster=cluster, seed=SEED)
+        return cfg, dict(cluster=cluster, seed=SEED)
     if mode == "batched":
         cfg = ServeConfig(
             queue_capacity=32, tenants=tenant_roster(),
             max_batch_vectors=4, schedule_latency_per_pair_s=1e-4,
         )
         cluster = MiccoConfig(num_devices=4, memory_bytes=2 * GIB)
-        return serve(cfg, cluster=cluster, seed=SEED)
+        return cfg, dict(cluster=cluster, seed=SEED)
     if mode == "integrity":
         # Spot-audit chaos run: silent corruption + bitflips, detection,
-        # audit recomputation and blame must replay identically through
-        # both cores (the integrity layer draws no RNG state — every
-        # decision is a counter hash).
+        # audit recomputation and blame must replay identically (the
+        # integrity layer draws no RNG state — every decision is a
+        # counter hash).
         cfg = ServeConfig(
             queue_capacity=16, faults=integrity_plan(4),
             integrity=IntegrityConfig(mode="spot", audit_fraction=0.3),
         )
-        return run_stream(cfg, MiccoConfig(num_devices=4, memory_bytes=64 * MIB))
+        return cfg, single_stream(MiccoConfig(num_devices=4, memory_bytes=64 * MIB))
     if mode == "sharded":
         cfg = ServeConfig(sharded=True, routing="residency-affinity")
-        return run_stream(cfg, sharded_cluster())
+        return cfg, single_stream(sharded_cluster())
     if mode == "learned":
         # Learned routing adds an RNG stream (the exploration draws) and
         # online regression on completion latencies; both must replay
-        # byte-identically through the reference core.  Low knobs so the
-        # predictor warms up inside a 24-vector run.
+        # byte-identically.  Low knobs so the predictor warms up inside a
+        # 24-vector run.
         cfg = ServeConfig(
             sharded=True, routing="learned", sync_interval_s=0.01,
             explore_floor=0.1, min_samples=6, refit_interval=4,
             health=HealthConfig(),
         )
-        return run_stream(cfg, sharded_cluster())
+        return cfg, single_stream(sharded_cluster())
     # ---- modes below run only against the on-disk golden manifest ----
     if mode == "sharded-least-loaded":
         cfg = ServeConfig(sharded=True, routing="least-loaded")
-        return run_stream(cfg, sharded_cluster(), predictor=FixedPredictor())
+        return cfg, single_stream(sharded_cluster(), predictor=FixedPredictor())
     if mode == "sharded-threshold-local":
         cfg = ServeConfig(
             sharded=True, routing="threshold-local", queue_capacity=32,
             max_batch_vectors=4, schedule_latency_per_pair_s=1e-4,
         )
-        return run_stream(cfg, sharded_cluster(), n=40, rate=8_000.0)
+        return cfg, single_stream(sharded_cluster(), n=40, rate=8_000.0)
     if mode == "health-hedging":
         plan = FaultPlan((
             FaultEvent(
@@ -158,13 +169,13 @@ def run_mode(mode: str):
                 heartbeat_interval_s=1e-3, hedging=True, hedge_deadline_s=2e-3
             ),
         )
-        return run_stream(cfg, sharded_cluster(), n=48, rate=3_000.0)
+        return cfg, single_stream(sharded_cluster(), n=48, rate=3_000.0)
     if mode == "node-loss":
         plan = FaultPlan((FaultEvent(FaultKind.NODE_LOST, 0.002, 5),))
         cfg = ServeConfig(
             faults=plan, warm_restore=True, fault_aware_admission=True
         )
-        return run_stream(cfg, sharded_cluster(), predictor=FixedPredictor())
+        return cfg, single_stream(sharded_cluster(), predictor=FixedPredictor())
     if mode == "sharded-node-loss":
         plan = FaultPlan((
             FaultEvent(FaultKind.LINK_LOST, 0.001, 6),
@@ -174,7 +185,7 @@ def run_mode(mode: str):
             sharded=True, faults=plan, warm_restore=True,
             fault_aware_admission=True,
         )
-        return run_stream(cfg, sharded_cluster())
+        return cfg, single_stream(sharded_cluster())
     if mode == "autoscale":
         plan = FaultPlan((FaultEvent(FaultKind.DEVICE_LOST, 0.004, 0),))
         cfg = ServeConfig(
@@ -186,7 +197,7 @@ def run_mode(mode: str):
             ),
         )
         cluster = MiccoConfig(num_devices=4, memory_bytes=64 * MIB)
-        return run_stream(cfg, cluster, n=40, rate=8_000.0)
+        return cfg, single_stream(cluster, n=40, rate=8_000.0)
     if mode == "sharded-autoscale":
         plan = FaultPlan((FaultEvent(FaultKind.DEVICE_LOST, 0.001, 0),))
         cfg = ServeConfig(
@@ -197,20 +208,20 @@ def run_mode(mode: str):
                 window_s=2e-3, replace_lost=True,
             ),
         )
-        return run_stream(cfg, sharded_cluster(), n=40, rate=8_000.0)
+        return cfg, single_stream(sharded_cluster(), n=40, rate=8_000.0)
     if mode == "single-flap":
         cfg = ServeConfig(faults=FaultPlan((flap(4),)), warm_restore=True)
-        return run_stream(cfg, sharded_cluster())
+        return cfg, single_stream(sharded_cluster())
     if mode == "sharded-flap":
         cfg = ServeConfig(sharded=True, faults=FaultPlan((flap(1), flap(6, 0.003))))
-        return run_stream(cfg, sharded_cluster())
+        return cfg, single_stream(sharded_cluster())
     if mode == "single-quarantine":
         cfg = ServeConfig(
             faults=integrity_plan(4),
             integrity=IntegrityConfig(mode="suspect-full", audit_fraction=0.3),
         )
         cluster = MiccoConfig(num_devices=4, memory_bytes=64 * MIB)
-        return run_stream(cfg, cluster, n=40)
+        return cfg, single_stream(cluster, n=40)
     if mode in ("tenant-loss", "sharded-tenant-loss"):
         # Two tenants, several rounds in flight per pool, a device loss
         # and then a node loss: several tickets are orphaned at once, so
@@ -228,14 +239,14 @@ def run_mode(mode: str):
             max_inflight=inflight, max_batch_vectors=2, faults=plan,
             sharded=sharded,
         )
-        return serve(cfg, cluster=sharded_cluster(), seed=SEED)
+        return cfg, dict(cluster=sharded_cluster(), seed=SEED)
     if mode == "single-pool-empty":
         # Both nodes flap down together while tickets are queued: the
         # single loop keeps dispatching into the empty pool (and sheds
         # those rounds) and does not refill when the devices return.
         plan = FaultPlan((flap(1, 0.002, 0.002, 1), flap(6, 0.002, 0.002, 1)))
         cfg = ServeConfig(faults=plan)
-        return run_stream(cfg, sharded_cluster(), rate=20_000.0)
+        return cfg, single_stream(sharded_cluster(), rate=20_000.0)
     if mode == "learned-wrap":
         # The ``learned`` config refit after every completion over 1200
         # vectors: every shard's model passes its 512-sample window, so
@@ -245,13 +256,13 @@ def run_mode(mode: str):
             explore_floor=0.1, min_samples=6, refit_interval=1,
             health=HealthConfig(),
         )
-        return run_stream(cfg, sharded_cluster(), n=1200)
+        return cfg, single_stream(sharded_cluster(), n=1200)
     if mode == "sharded-integrity":
         cfg = ServeConfig(
             sharded=True, faults=integrity_plan(8),
             integrity=IntegrityConfig(mode="spot", audit_fraction=0.3),
         )
-        return run_stream(cfg, sharded_cluster(), n=40)
+        return cfg, single_stream(sharded_cluster(), n=40)
     raise AssertionError(mode)
 
 
@@ -265,35 +276,23 @@ def artifacts(result, tmp_path, tag):
 
 
 MODES = ("single", "tenants", "batched", "sharded", "learned", "integrity")
+FULL_TRACE = TraceConfig("full")
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_reports_and_traces_byte_identical(mode, tmp_path):
     fast = run_mode(mode)
-    with compat.reference_core():
-        ref = run_mode(mode)
-    assert not compat.REFERENCE_CORE  # context restored
-
+    full = run_mode(mode, trace=FULL_TRACE)
     fast_report, fast_trace = artifacts(fast, tmp_path, f"{mode}_fast")
-    ref_report, ref_trace = artifacts(ref, tmp_path, f"{mode}_ref")
-    assert fast_report == ref_report
-    assert fast_trace == ref_trace
+    full_report, full_trace = artifacts(full, tmp_path, f"{mode}_full")
+    assert fast_report == full_report
+    assert fast_trace == full_trace
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_summaries_identical(mode):
     fast = run_mode(mode)
-    with compat.reference_core():
-        ref = run_mode(mode)
+    full = run_mode(mode, trace=FULL_TRACE)
     assert json.dumps(fast.summary(), sort_keys=True) == json.dumps(
-        ref.summary(), sort_keys=True
+        full.summary(), sort_keys=True
     )
-
-
-def test_reference_core_flag_actually_switches_paths():
-    """Guard against the switch silently becoming a no-op."""
-    scheduler = MiccoScheduler(ReuseBounds(0, 4, 0))
-    assert type(scheduler).choose is not None
-    with compat.reference_core():
-        assert compat.REFERENCE_CORE
-    assert not compat.REFERENCE_CORE

@@ -1,10 +1,11 @@
 """On-disk golden manifest: fixed-seed artifacts pinned by SHA-256.
 
-``tests/test_golden_equivalence.py`` compares two simulator cores in one
-process, so a change to the serving loops, which both cores share, is
-invisible to it.  This suite pins the serialized artifacts themselves:
-for every mode below, the SHA-256 of the latency-report JSON and of the
-rendered Chrome trace must match ``tests/golden/manifest.json``.
+``tests/test_golden_equivalence.py`` compares the engine's two execution
+paths in one process, so a change to the serving loops, which both
+paths share, is invisible to it.  This suite pins the serialized
+artifacts themselves: for every mode below, the SHA-256 of the
+latency-report JSON and of the rendered Chrome trace must match
+``tests/golden/manifest.json``.
 
 The test never rewrites the manifest.  A deliberate behaviour change
 regenerates it with ``PYTHONPATH=src python tools/regen_golden.py``,

@@ -7,11 +7,16 @@ from repro.gpusim.costmodel import CostModel
 from repro.gpusim.engine import ExecutionEngine
 from repro.gpusim.memory import EVICTION_POLICIES, MemoryPool
 from repro.gpusim.topology import Topology
+from repro.schedulers.bounds import ReuseBounds
 from repro.schedulers.costgreedy import CostGreedyScheduler
+from repro.schedulers.groute import GrouteScheduler
+from repro.schedulers.micco import MiccoScheduler, would_evict
 from repro.core.session import run_stream
+from repro.serve import ShardView
+from repro.tensor.spec import TensorPair
 from repro.workloads.serialize import stream_from_dict, stream_to_dict
 from repro.workloads.synth import SyntheticWorkload, WorkloadParams
-from tests.conftest import make_cluster
+from tests.conftest import make_cluster, make_tensor
 
 
 @st.composite
@@ -25,6 +30,104 @@ def small_streams(draw):
         batch=2,
     )
     return SyntheticWorkload(params, seed=draw(st.integers(0, 1000))).vectors()
+
+
+@st.composite
+def cluster_states(draw):
+    """``(view, pairs)``: a random cluster mid-vector and pairs to place.
+
+    2–64 devices with random residency and filler tensors in tight
+    memory (so some placements would evict), per-device load and lost
+    devices; the view is the cluster itself or a shard view over a
+    random device subset that keeps at least one survivor.  ``pairs``
+    combines every placed tensor with every placed tensor (itself
+    included) and with one fresh tensor.
+    """
+    n = draw(st.integers(2, 64))
+    tensors = [make_tensor() for _ in range(draw(st.integers(1, 6)))]
+    nbytes = tensors[0].nbytes
+    capacity = draw(st.sampled_from([2, 3, 4, 64]))
+    cluster = make_cluster(num_devices=n, memory_bytes=capacity * nbytes)
+    devices = st.integers(0, n - 1)
+    for spec in tensors:
+        for dev in draw(st.lists(devices, max_size=6)):
+            cluster.register(spec, dev)
+    for dev in range(n):
+        for _ in range(draw(st.integers(0, min(capacity - 1, 3)))):
+            cluster.register(make_tensor(), dev)
+    if draw(st.booleans()):
+        members = sorted(draw(st.sets(devices, min_size=1)))
+    else:
+        members = list(range(n))
+    keep = draw(st.sampled_from(members))
+    for dev in draw(st.sets(devices)) - {keep}:
+        cluster.fail_device(dev)
+    view = cluster if len(members) == n else ShardView(cluster, members)
+    view.begin_vector(draw(st.integers(2, 4 * n)))
+    loads = st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=n, max_size=n)
+    cluster.assigned_slots[:] = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    cluster.compute_s[:] = draw(loads)
+    cluster.memop_s[:] = draw(loads)
+    inputs = tensors + [make_tensor()]
+    return view, [TensorPair.make(a, b) for a in tensors for b in inputs]
+
+
+class TestDecisionPathProperties:
+    """Each scheduler's ``choose`` against a plain scalar restatement."""
+
+    @given(
+        cluster_states(),
+        st.tuples(*[st.sampled_from([0.0, 1.0, 4.0])] * 3),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_micco_choose_is_select_of_candidates(self, state, bounds, aware, sensitive):
+        view, pairs = state
+        sched = MiccoScheduler(
+            ReuseBounds(*bounds), pattern_aware=aware, eviction_sensitive=sensitive
+        )
+        compute, free = view.compute_s, view.free_bytes
+        alive = set(view.alive_ids())
+        for pair in pairs:
+            candidates = sched.build_candidates(pair, view)
+            assert candidates and set(candidates) <= alive
+            pick = sched.select(candidates, pair, view)
+            assert sched.choose(pair, view) == pick
+
+            # Alg. 2 as a key-based min over the scalar eviction test.
+            evict = sensitive and any(would_evict(pair, g, view) for g in candidates)
+            if evict:
+                key = lambda g: (-free(g), compute[g], g)
+            else:
+                key = lambda g: (compute[g], -free(g), g)
+            assert pick == min(candidates, key=key)
+
+    @given(cluster_states())
+    @settings(max_examples=50, deadline=None)
+    def test_groute_picks_least_busy_alive(self, state):
+        view, pairs = state
+        busy = view.busy_s
+        best = None
+        for g in view.alive_ids():
+            if best is None or busy[g] < busy[best]:
+                best = g
+        assert GrouteScheduler().choose(pairs[0], view) == best
+
+    @given(cluster_states())
+    @settings(max_examples=100, deadline=None)
+    def test_costgreedy_picks_min_scalar_estimate(self, state):
+        view, pairs = state
+        sched = CostGreedyScheduler()
+        busy = view.busy_s
+        for pair in pairs:
+            best = None
+            best_t = float("inf")
+            for g in view.alive_ids():
+                t = busy[g] + sched.estimate_added_time(pair, g, view)
+                if t < best_t:
+                    best, best_t = g, t
+            assert sched.choose(pair, view) == best
 
 
 class TestSerializationProperties:

@@ -4,11 +4,15 @@ import pytest
 
 from repro.core.config import MiccoConfig
 from repro.core.framework import Micco
+from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.gpusim.costmodel import CostModel
 from repro.schedulers.costgreedy import CostGreedyScheduler
 from repro.schedulers.locality import RandomScheduler
+from repro.serve import PoissonArrivals, ServeConfig, serve
+from repro.tensor.spec import reset_uid_counter
 from repro.workloads.synth import SyntheticWorkload, WorkloadParams
-from tests.conftest import make_cluster, make_pair, make_tensor
+from tests.conftest import MIB, make_cluster, make_pair, make_tensor
+from tests.test_golden_equivalence import sharded_cluster, stream
 
 
 class TestEstimate:
@@ -63,3 +67,28 @@ class TestChoice:
         greedy = Micco(cfg, scheduler=CostGreedyScheduler(cfg.cost_model)).run(vectors)
         rand = Micco(cfg, scheduler=RandomScheduler(seed=0)).run(vectors)
         assert greedy.gflops > rand.gflops
+
+
+class TestServing:
+    """Placement only on devices the serving loop may use."""
+
+    @staticmethod
+    def serve_stream(cfg, cluster):
+        reset_uid_counter()
+        return serve(
+            cfg, cluster=cluster, scheduler=CostGreedyScheduler(),
+            vectors=stream(40), arrivals=PoissonArrivals(4000.0), seed=11,
+        ).summary()
+
+    def test_lost_device_gets_no_pairs(self):
+        plan = FaultPlan((FaultEvent(FaultKind.DEVICE_LOST, 0.002, 2),))
+        summary = self.serve_stream(
+            ServeConfig(faults=plan), MiccoConfig(num_devices=4, memory_bytes=64 * MIB)
+        )
+        assert summary["dropped"] == 0
+        assert summary["completed"] == 40
+
+    def test_places_on_shard_views(self):
+        summary = self.serve_stream(ServeConfig(sharded=True), sharded_cluster())
+        assert summary["dropped"] == 0
+        assert summary["completed"] == 40

@@ -9,6 +9,7 @@ from repro.gpusim.metrics import ExecutionMetrics
 from repro.schedulers.bounds import ReuseBounds
 from repro.schedulers.micco import MiccoScheduler, incoming_bytes, would_evict
 from repro.schedulers.reuse_patterns import ReusePattern
+from repro.serve import ShardView
 from repro.tensor.spec import TensorPair, VectorSpec
 from tests.conftest import MIB, make_cluster, make_pair, make_tensor, make_vector
 
@@ -81,6 +82,18 @@ class TestCandidateQueue:
         candi = sched.build_candidates(p, self.cl)
         assert candi == [2]  # tier-1 bound (8) readmits the holder
 
+    def test_shard_view_candidates_stay_on_shard(self):
+        """Holders off the shard do not enter a shard's candidate queue."""
+        cl = make_cluster(num_devices=8)
+        p = make_pair()
+        cl.register(p.left, 1)
+        cl.register(p.right, 1)
+        shard = ShardView(cl, range(4, 8))
+        shard.begin_vector(16)
+        sched = MiccoScheduler()
+        assert sched.build_candidates(p, shard) == [4, 5, 6, 7]
+        assert sched.choose(p, shard) == 4
+
     def test_full_fallback_when_all_over(self):
         sched = MiccoScheduler()
         self.cl.assigned_slots[:] = 100
@@ -115,6 +128,35 @@ class TestSelect:
         sched = MiccoScheduler()
         # ...but the eviction-sensitive policy picks the roomier device 1.
         assert sched.select([0, 1], p, cl) == 1
+
+    @pytest.mark.parametrize("resident", ["none", "both", "same-tensor"])
+    def test_exact_fit_is_not_eviction(self, resident):
+        """A pair that exactly fills a device's free memory evicts nothing.
+
+        Device 0 has the least compute and exactly the free bytes the
+        pair needs; device 1 is idle but roomier.  Without eviction
+        pressure the computation-centric pick (device 0) must win.
+        """
+        t = make_tensor()
+        nb = t.nbytes
+        cl = make_cluster(num_devices=2, memory_bytes=4 * nb)
+        cl.begin_vector(16)
+        if resident == "same-tensor":
+            p = TensorPair.make(t, t)  # needs the input and the output
+        else:
+            p = make_pair(left=t)  # both inputs and the output
+        if resident == "both":
+            for dev in (0, 1):
+                cl.register(p.left, dev)
+                cl.register(p.right, dev)
+        need = incoming_bytes(p, 0, cl)
+        while cl.free_bytes(0) > need:
+            cl.register(make_tensor(), 0)
+        assert cl.free_bytes(0) == need < cl.free_bytes(1)
+        cl.compute_s[:] = [0.0, 1.0]
+        sched = MiccoScheduler()
+        assert sched.select([0, 1], p, cl) == 0
+        assert sched.choose(p, cl) == 0
 
     def test_empty_queue_raises(self):
         cl = make_cluster()

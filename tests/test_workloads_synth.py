@@ -51,6 +51,19 @@ class TestGeneration:
         for v in vecs[1:]:
             assert v.meta["measured_repeated_rate"] == pytest.approx(0.5, abs=0.01)
 
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+    def test_measured_rate_is_a_pool_membership_scan(self, rate, distribution):
+        """The measured rate counts slots whose tensor the pool held before the call."""
+        params = WorkloadParams(vector_size=16, repeated_rate=rate, distribution=distribution)
+        wl = SyntheticWorkload(params, seed=4)
+        for _ in range(5):
+            seen_before = {t.uid for t in wl.pool}
+            v = wl.next_vector()
+            slots = [t for p in v.pairs for t in (p.left, p.right)]
+            scanned = sum(1 for t in slots if t.uid in seen_before) / len(slots)
+            assert v.meta["measured_repeated_rate"] == scanned
+
     def test_zero_rate_all_unique(self):
         params = WorkloadParams(vector_size=16, repeated_rate=0.0, num_vectors=4)
         vecs = SyntheticWorkload(params, seed=1).vectors()

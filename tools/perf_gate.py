@@ -9,11 +9,13 @@ code 1 — when the ``throughput`` section shows
 * peak RSS growing more than ``--tolerance``.
 
 Wall-clock events/sec moves with runner hardware, so the gate checks
-the drift-immune in-process ``speedup_vs_reference`` ratio under the
-same tolerance as well: a real core regression shows up there even
-when the runner itself got faster.  A baseline without a
-``throughput`` section (older payloads) passes trivially — the gate
-arms itself on the first commit that carries one.
+the drift-immune ``calibrated_events_ratio`` under the same tolerance
+as well: events/sec times the duration of a fixed pure-Python loop
+timed in the same process, so a real simulator regression shows up
+there even when the runner itself got faster.  A baseline without a
+``throughput`` section (older payloads) passes trivially, and one
+without the calibrated ratio skips that gauge — each arms itself on
+the first commit that carries it.
 
 The ``integrity`` section gets an *absolute* bound instead of a
 baseline diff: spot-mode auditing on the clean throughput workload
@@ -84,6 +86,7 @@ def check(fresh: dict, baseline: dict, tolerance: float) -> list[str]:
 
     def gauge(name, fresh_v, base_v, bigger_is_better):
         if not base_v:
+            print(f"perf gate: baseline has no {name}; skipping")
             return
         ratio = fresh_v / base_v
         if bigger_is_better:
@@ -105,9 +108,9 @@ def check(fresh: dict, baseline: dict, tolerance: float) -> list[str]:
         bigger_is_better=True,
     )
     gauge(
-        "speedup vs reference core",
-        fresh_t["speedup_vs_reference"],
-        base_t["speedup_vs_reference"],
+        "calibrated events ratio",
+        fresh_t["calibrated_events_ratio"],
+        base_t.get("calibrated_events_ratio"),
         bigger_is_better=True,
     )
     gauge(
