@@ -181,12 +181,12 @@ class TraceConfig:
           report, exactly as before this block existed.
         * ``"full"`` — attach a :class:`TraceRecorder` with a
           :class:`FullSink` for the run; every engine event is kept
-          (``ServeResult.engine_trace``).  Opting in routes execution
-          through the engine's full (traced) execution path.
+          (``ServeResult.engine_trace``).  Opting in adds records
+          only: the engine's accounting is unchanged.
         * ``"sampling"`` — as ``"full"`` but with a
           :class:`SamplingSink` keeping 1 in ``sample_stride`` events.
         * ``"off"`` — no recorder *and* ``ServeResult.to_trace()``
-          renders nothing (the fully trace-free fast path).
+          renders nothing (the fully trace-free run).
     sample_stride:
         Thinning factor for ``"sampling"`` mode.
     """

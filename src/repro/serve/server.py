@@ -880,8 +880,8 @@ class MiccoServer:
         self._push_arrivals(timeline, streams)
 
         # Config-selected engine tracing: "full"/"sampling" attach a
-        # recorder for the run (routing execution through the traced
-        # path); "report"/"off"/None leave the engine trace-free.
+        # recorder to the engine for the run; "report"/"off"/None leave
+        # the engine trace-free.
         trace_mode = cfg.trace.mode if cfg.trace is not None else "report"
         recorder = cfg.trace.make_sink() if cfg.trace is not None else None
         if recorder is not None:

@@ -1,8 +1,8 @@
 """On-disk golden manifest: fixed-seed artifacts pinned by SHA-256.
 
-``tests/test_golden_equivalence.py`` compares the engine's two execution
-paths in one process, so a change to the serving loops, which both
-paths share, is invisible to it.  This suite pins the serialized
+``tests/test_golden_equivalence.py`` compares a default run with a
+traced run in one process, so a change that moves both alike is
+invisible to it.  This suite pins the serialized
 artifacts themselves: for every mode below, the SHA-256 of the
 latency-report JSON and of the rendered Chrome trace must match
 ``tests/golden/manifest.json``.
@@ -14,8 +14,10 @@ and the reason goes into the change's notes.
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.serve.sharded.learned import LearnedRouting
@@ -86,3 +88,23 @@ def test_learned_wrap_outgrows_the_window():
     per_shard = run_mode("learned-wrap").routing["per_shard"]
     assert len(per_shard) == 2
     assert all(shard["samples"] > window for shard in per_shard.values())
+
+
+#: The modes whose bytes go through ``numpy.linalg.lstsq`` (learned
+#: routing's online refits), and so depend on the BLAS/LAPACK build.
+LSTSQ_MODES = {"learned", "learned-wrap"}
+
+
+def test_only_learned_modes_call_lstsq(monkeypatch):
+    """Record which golden modes call ``lstsq`` (matmul/dot not counted)."""
+    lstsq = np.linalg.lstsq
+    calls = Counter()
+
+    def counted(*args, **kwargs):
+        calls[mode] += 1
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    for mode in GOLDEN_MODES:
+        run_mode(mode)
+    assert set(calls) == LSTSQ_MODES
