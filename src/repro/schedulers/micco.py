@@ -26,6 +26,16 @@ from repro.tensor.spec import TensorPair, VectorSpec
 #: Shared empty holder set for pairs with a non-resident input.
 _EMPTY_SET: frozenset[int] = frozenset()
 
+#: The Fig. 4 patterns in declaration order, and each one's index there.
+_PATTERNS: tuple[ReusePattern, ...] = tuple(ReusePattern)
+_TWO_REPEATED_SAME, _TWO_REPEATED_DIFF, _ONE_REPEATED, _TWO_NEW = (
+    _PATTERNS.index(p)
+    for p in (
+        ReusePattern.TWO_REPEATED_SAME, ReusePattern.TWO_REPEATED_DIFF,
+        ReusePattern.ONE_REPEATED, ReusePattern.TWO_NEW,
+    )
+)
+
 
 def incoming_bytes(pair: TensorPair, device_id: int, cluster: ClusterState) -> int:
     """New device bytes needed to run ``pair`` on ``device_id``.
@@ -86,8 +96,14 @@ class MiccoScheduler(Scheduler):
         self.bounds = bounds if bounds is not None else ReuseBounds.zeros()
         self.pattern_aware = pattern_aware
         self.eviction_sensitive = eviction_sensitive
-        #: Pattern histogram, for introspection/experiments.
-        self.pattern_counts: dict[ReusePattern, int] = {p: 0 for p in ReusePattern}
+        # Pattern histogram indexed like _PATTERNS: a list slot bump per
+        # pair instead of two Enum.__hash__ calls.
+        self._pattern_hits = [0] * len(_PATTERNS)
+
+    @property
+    def pattern_counts(self) -> dict[ReusePattern, int]:
+        """Pattern histogram, for introspection/experiments."""
+        return dict(zip(_PATTERNS, self._pattern_hits))
 
     def set_bounds(self, bounds: ReuseBounds) -> None:
         """Install the reuse bounds for subsequent decisions."""
@@ -135,13 +151,11 @@ class MiccoScheduler(Scheduler):
         left, right = self._holders(pair, cluster)
         if left and right:
             common = left & right
-            pattern = (
-                ReusePattern.TWO_REPEATED_SAME if common else ReusePattern.TWO_REPEATED_DIFF
-            )
+            pattern = _TWO_REPEATED_SAME if common else _TWO_REPEATED_DIFF
         else:
             common = _EMPTY_SET
-            pattern = ReusePattern.ONE_REPEATED if (left or right) else ReusePattern.TWO_NEW
-        self.pattern_counts[pattern] += 1
+            pattern = _ONE_REPEATED if (left or right) else _TWO_NEW
+        self._pattern_hits[pattern] += 1
 
         slots = cluster.assigned_slots.tolist()
         balance = cluster.balance_num
@@ -238,4 +252,4 @@ class MiccoScheduler(Scheduler):
         return self._pick(candidates, tier, left, right, pair, cluster)
 
     def reset_stats(self) -> None:
-        self.pattern_counts = {p: 0 for p in ReusePattern}
+        self._pattern_hits = [0] * len(_PATTERNS)

@@ -700,6 +700,8 @@ class RunState:
     round_ids: itertools.count = field(default_factory=itertools.count)
     rounds_log: list = field(default_factory=list)
     events_processed: int = 0
+    #: Tie-break number of the run's first arrival (see Timeline.reserve).
+    arrival_seq: int = 0
     # ----- sharded control plane: global router and health state -----
     router: GlobalScheduler | None = None
     monitor: HealthMonitor | None = None
@@ -832,7 +834,7 @@ class MiccoServer:
         else:
             # Explicit timestamps: validate through the trace process.
             times = TraceArrivals(list(arrivals)).arrival_times(len(vectors))
-        return [TenantStream(spec=None, vectors=list(vectors), times=times)]
+        return [TenantStream(None, times, vectors)]
 
     # ------------------------------------------------------------- event loop
     def _serve(
@@ -877,7 +879,11 @@ class MiccoServer:
         run.owner = {d: rt for rt in run.runtimes.values() for d in rt.devices}
         run.scaled = [rt for rt in run.runtimes.values() if rt.scaler is not None]
         timeline = run.timeline
-        self._push_arrivals(timeline, streams)
+        # Arrivals are drawn lazily, one pending per stream, but rank
+        # by their global stream position ahead of every other event.
+        run.arrival_seq = timeline.reserve(sum(len(s) for s in streams))
+        for stream in streams:
+            self._push_next_arrival(run, stream)
 
         # Config-selected engine tracing: "full"/"sampling" attach a
         # recorder to the engine for the run; "report"/"off"/None leave
@@ -1085,6 +1091,8 @@ class MiccoServer:
 
     # ---------------------------------------------------------- event handlers
     def _on_arrival(self, run: RunState, event: VectorArrival, now: float) -> None:
+        if event.stream is not None:
+            self._push_next_arrival(run, event.stream)
         if self._admit(run, event.ticket, now):
             self._place(run, event.ticket, now)
 
@@ -1321,19 +1329,22 @@ class MiccoServer:
         return rt
 
     @staticmethod
-    def _push_arrivals(timeline: Timeline, streams: list[TenantStream]) -> None:
-        """One arrival per offered vector, carrying its tenant's SLO deadline."""
-        for stream in streams:
-            tenant = stream.spec.name if stream.spec is not None else None
-            p99_target = stream.spec.slo.p99_s if stream.spec is not None else None
-            for t, v in zip(stream.times, stream.vectors):
-                deadline = t + p99_target if p99_target is not None else None
-                timeline.push(
-                    VectorArrival(
-                        t,
-                        Ticket(vector=v, arrival_s=t, tenant=tenant, deadline_s=deadline),
-                    )
-                )
+    def _push_next_arrival(run: RunState, stream: TenantStream) -> None:
+        """Draw ``stream``'s next vector and push its arrival, if any is left.
+
+        The ticket carries its tenant's SLO deadline; the arrival's
+        tie-break number is its global stream position.
+        """
+        k = stream.drawn
+        if k == len(stream.times):
+            return
+        t = stream.times[k]
+        p99_s = stream.p99_s
+        ticket = Ticket(
+            vector=stream.draw(), arrival_s=t, tenant=stream.tenant,
+            deadline_s=t + p99_s if p99_s is not None else None,
+        )
+        run.timeline.push(VectorArrival(t, ticket, stream), run.arrival_seq + stream.first + k)
 
     @staticmethod
     def _linkless(run: RunState) -> frozenset[int]:

@@ -46,6 +46,8 @@ class ShardView:
         self._device_set = frozenset(self.devices)
         if not self.devices:
             raise SchedulingError("a shard view needs at least one device")
+        #: ``(cluster alive list, shard alive list)`` of the last call.
+        self._alive_view: tuple[list[int], list[int]] | None = None
 
     def __getattr__(self, name):
         # Anything not shard-scoped (pools, compute_s, free_bytes,
@@ -54,7 +56,18 @@ class ShardView:
 
     # ---------------------------------------------------- shard-scoped surface
     def alive_ids(self) -> list[int]:
-        return [d for d in self.devices if self._cluster.is_alive(d)]
+        """The shard's alive device ids, ascending (treat as read-only).
+
+        ``ClusterState.alive_ids`` returns the same list object until
+        the alive set changes, so its identity keys the cached answer;
+        holding the list in the cache keeps its id from being reused.
+        """
+        source = self._cluster.alive_ids()
+        cache = self._alive_view
+        if cache is None or cache[0] is not source:
+            is_alive = self._cluster.is_alive
+            cache = self._alive_view = (source, [d for d in self.devices if is_alive(d)])
+        return cache[1]
 
     @property
     def num_alive(self) -> int:

@@ -188,6 +188,21 @@ class LatencyReport:
     def mean_latency_s(self) -> float:
         return float(self.latencies().mean()) if self.completed else float("nan")
 
+    def latency_stats(self) -> dict[str, float]:
+        """``p50_s``, ``p95_s``, ``p99_s`` and ``mean_latency_s`` from one
+        latency array; each equals its property bit for bit (NaN when
+        nothing completed)."""
+        if not self.completed:
+            nan = float("nan")
+            return {"p50_s": nan, "p95_s": nan, "p99_s": nan, "mean_latency_s": nan}
+        lat = self.latencies()
+        return {
+            "p50_s": float(np.percentile(lat, 50)),
+            "p95_s": float(np.percentile(lat, 95)),
+            "p99_s": float(np.percentile(lat, 99)),
+            "mean_latency_s": float(lat.mean()),
+        }
+
     @property
     def makespan_s(self) -> float:
         """Last completion timestamp (0 when nothing completed)."""
@@ -255,10 +270,7 @@ class LatencyReport:
             "dropped": len(self.dropped),
             "dropped_by_reason": self.drops_by_reason(),
             "drop_rate": self.drop_rate,
-            "p50_s": self.p50,
-            "p95_s": self.p95,
-            "p99_s": self.p99,
-            "mean_latency_s": self.mean_latency_s,
+            **self.latency_stats(),
             "mean_queue_wait_s": (
                 float(np.mean([r.queue_wait_s for r in self.completed]))
                 if self.completed

@@ -7,12 +7,13 @@ tensor-size / repeated-rate / distribution regime — the MICCO
 reuse-vs-balance tradeoff sharpens when tenants with different tensor
 distributions compete for residency) and per-tenant SLO targets.
 
-:func:`build_streams` materialises the specs into seeded
-:class:`TenantStream`\\ s — per-tenant vectors and arrival timestamps
+:func:`build_streams` turns the specs into seeded
+:class:`TenantStream`\\ s — per-tenant workloads and arrival timestamps
 drawn from statistically independent generators spawned off one run
 seed — which :meth:`~repro.serve.server.MiccoServer.run` interleaves
 into a single simulated timeline when :attr:`ServeConfig.tenants` is
-set.
+set.  A stream draws each vector only when its previous arrival fires,
+so a run holds one pending vector per tenant, not the whole stream.
 """
 
 from __future__ import annotations
@@ -173,27 +174,62 @@ class TenantSpec:
         )
 
 
-@dataclass
 class TenantStream:
-    """A materialised request stream for one run.
+    """One run's arrival stream, drawn one vector at a time.
 
+    ``times`` holds every arrival timestamp up front (a float each);
+    ``source`` yields the vectors in arrival order and is only advanced
+    by :meth:`draw`.  ``first`` is the stream's offset in the run's
+    global arrival order: arrival ``k`` ranks ``first + k`` among
+    same-time events, and a tenant stream's vector ``k`` gets vector id
+    ``first + k`` so report and trace lanes stay unique across tenants.
     ``spec`` is ``None`` for the anonymous single-tenant stream
-    :meth:`~repro.serve.server.MiccoServer.run` builds internally.
+    :meth:`~repro.serve.server.MiccoServer.run` builds around
+    caller-supplied vectors, which keep their own ids.
     """
 
-    spec: TenantSpec | None
-    vectors: list[VectorSpec]
-    times: list[float]
+    def __init__(self, spec: TenantSpec | None, times: list[float], source, first: int = 0):
+        self.spec = spec
+        self.times = times
+        self.first = first
+        self._source = iter(source)
+        #: Vectors drawn so far (the next arrival's index).
+        self.drawn = 0
+        self.tenant = spec.name if spec is not None else None
+        #: The tenant's p99 target: each ticket's deadline is its
+        #: arrival plus this (``None``: no deadline).
+        self.p99_s = spec.slo.p99_s if spec is not None else None
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def draw(self) -> VectorSpec:
+        """The stream's next vector (the caller checks ``drawn < len``)."""
+        vector = next(self._source)
+        if self.spec is not None:
+            vector.vector_id = self.first + self.drawn
+        self.drawn += 1
+        return vector
+
+    def __iter__(self):
+        """Draw the vectors not drawn yet."""
+        while self.drawn < len(self.times):
+            yield self.draw()
 
 
 def build_streams(tenants, seed) -> list[TenantStream]:
-    """Materialise each tenant's vectors and arrival times from one seed.
+    """Set up each tenant's workload and arrival times from one seed.
 
     Each tenant draws its workload and its arrivals from independent
     generators spawned off ``seed`` (no cross-tenant correlations, and
     adding a tenant does not perturb the others' streams beyond the
-    spawn order).  Vector ids are renumbered globally so report and
-    trace lanes stay unique across tenants.
+    spawn order).  Arrival times are drawn here; vectors are drawn by
+    the serving loop as their arrivals come due.
+
+    Tensor uids are run-scoped: tenant ``i``'s workload numbers its
+    tensors from the end of tenants ``0..i-1``'s blocks
+    (:meth:`~repro.workloads.WorkloadParams.uid_count` each), which is
+    the numbering drawing every stream in roster order would give.
     """
     tenants = list(tenants)
     if not tenants:
@@ -203,14 +239,13 @@ def build_streams(tenants, seed) -> list[TenantStream]:
         raise ConfigurationError(f"tenant names must be unique, got {names}")
     rngs = spawn_generators(seed, 2 * len(tenants))
     streams: list[TenantStream] = []
-    next_id = 0
+    first = uid_base = 0
     for i, spec in enumerate(tenants):
-        vectors = SyntheticWorkload(spec.workload, seed=rngs[2 * i]).vectors()
-        for v in vectors:
-            v.vector_id = next_id
-            next_id += 1
-        times = spec.arrivals.arrival_times(len(vectors), seed=rngs[2 * i + 1])
-        streams.append(TenantStream(spec, vectors, times))
+        workload = SyntheticWorkload(spec.workload, seed=rngs[2 * i], uid_base=uid_base)
+        times = spec.arrivals.arrival_times(spec.num_vectors, seed=rngs[2 * i + 1])
+        streams.append(TenantStream(spec, times, workload, first))
+        first += len(times)
+        uid_base += spec.workload.uid_count()
     return streams
 
 

@@ -17,8 +17,12 @@ simulated wall-clock time.  Three event kinds drive a serving run
 * :class:`DeviceRestore` — a flapped device's node comes back up and
   the device rejoins the pool cold (no ticket attached).
 
-Ties at the same timestamp resolve in push order (a monotonic sequence
-number), so event processing is fully deterministic.
+Ties at the same timestamp resolve by a sequence number, so event
+processing is fully deterministic.  Events take the next number at push
+time, except arrivals: a run reserves one number per offered vector
+before anything else is pushed, and each arrival carries its global
+stream position, so it ranks ahead of every other event at its
+timestamp however late it is drawn.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from repro.errors import ConfigurationError
 from repro.tensor.spec import VectorSpec
 
 
-@dataclass
+@dataclass(slots=True)
 class Ticket:
     """Mutable per-vector lifecycle record threaded through events.
 
@@ -151,7 +155,14 @@ class Event:
 
 @dataclass(frozen=True)
 class VectorArrival(Event):
-    """A vector arrives and requests admission."""
+    """A vector arrives and requests admission.
+
+    ``stream`` is the :class:`~repro.serve.tenancy.TenantStream` the
+    vector was drawn from; its handler draws and pushes that stream's
+    next arrival.
+    """
+
+    stream: object | None = None
 
 
 @dataclass(frozen=True)
@@ -272,13 +283,29 @@ class Timeline:
         drain."""
         return len(self._heap) > self._control
 
-    def push(self, event: Event) -> None:
-        """Schedule ``event``; must not be in the simulated past."""
+    def reserve(self, n: int) -> int:
+        """Set aside ``n`` sequence numbers; returns the first.
+
+        Events pushed later without a ``seq`` get numbers past the
+        block, so they lose every same-time tie to it.
+        """
+        first = next(self._seq)
+        self._seq = itertools.count(first + n)
+        return first
+
+    def push(self, event: Event, seq: int | None = None) -> None:
+        """Schedule ``event``; must not be in the simulated past.
+
+        ``seq`` is a tie-break number from a :meth:`reserve` block;
+        by default the event takes the next free one.
+        """
         if event.time_s < self.now:
             raise ConfigurationError(
                 f"cannot schedule event at {event.time_s} before now={self.now}"
             )
-        heapq.heappush(self._heap, (event.time_s, next(self._seq), event))
+        heapq.heappush(
+            self._heap, (event.time_s, next(self._seq) if seq is None else seq, event)
+        )
         if event.is_control:
             self._control += 1
 

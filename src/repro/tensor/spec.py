@@ -131,11 +131,35 @@ def _spec_unchecked(
     _set(self, "rank", rank)
     _set(self, "dtype_bytes", dtype_bytes)
     _set(self, "label", label)
-    dim = size * size if rank == 2 else size * size * size
-    elements = batch * dim
-    _set(self, "elements", elements)
-    _set(self, "nbytes", elements * dtype_bytes)
+    shape = (size, batch, rank, dtype_bytes)
+    sizes = _shape_sizes.get(shape)
+    if sizes is None:
+        dim = size * size if rank == 2 else size * size * size
+        elements = batch * dim
+        sizes = _shape_sizes[shape] = (elements, elements * dtype_bytes)
+    _set(self, "elements", sizes[0])
+    _set(self, "nbytes", sizes[1])
     return self
+
+
+#: ``(size, batch, rank, dtype_bytes) -> (elements, nbytes)``.  Every
+#: unchecked spec of one shape shares these two int objects instead of
+#: allocating its own pair (ints past 256 are not interned).
+_shape_sizes: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+
+
+def _pair_unchecked(left: TensorSpec, right: TensorSpec, out: TensorSpec) -> "TensorPair":
+    """Build a :class:`TensorPair` bypassing ``__post_init__`` validation.
+
+    Callers MUST guarantee ``left`` and ``right`` share size and batch
+    (``out`` is the contraction output derived from them).
+    """
+    pair = TensorPair.__new__(TensorPair)
+    _set = object.__setattr__
+    _set(pair, "left", left)
+    _set(pair, "right", right)
+    _set(pair, "out", out)
+    return pair
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,20 +205,14 @@ class TensorPair:
             _output_spec = _os
         # output_spec rejects size/batch mismatches before the pair is
         # assembled, so the dataclass re-validation can be skipped.
-        out = _output_spec(left, right, label=label)
-        pair = cls.__new__(cls)
-        _set = object.__setattr__
-        _set(pair, "left", left)
-        _set(pair, "right", right)
-        _set(pair, "out", out)
-        return pair
+        return _pair_unchecked(left, right, _output_spec(left, right, label=label))
 
 
 #: Cache for :func:`repro.tensor.contraction.output_spec` (import cycle).
 _output_spec = None
 
 
-@dataclass
+@dataclass(slots=True)
 class VectorSpec:
     """One *vector*: a batch of independent tensor pairs (one stage slice).
 

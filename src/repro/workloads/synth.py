@@ -10,12 +10,12 @@ tensor size, repeated rate and distribution are the swept knobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+import itertools
+from dataclasses import dataclass, replace
 
 from repro.errors import WorkloadError
-from repro.tensor.spec import TensorPair, TensorSpec, VectorSpec, _spec_unchecked, next_uid
+from repro.tensor.contraction import output_rank
+from repro.tensor.spec import TensorSpec, VectorSpec, _pair_unchecked, _spec_unchecked, next_uid
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_fraction, check_in, check_positive
 from repro.workloads.distributions import make_picker
@@ -70,9 +70,27 @@ class WorkloadParams:
         """Copy with overrides — convenient for experiment sweeps."""
         return replace(self, **kwargs)
 
+    def uid_count(self) -> int:
+        """Tensor uids a ``num_vectors`` stream of these params allocates.
+
+        The first vector's slots are all fresh; every later vector
+        draws ``round(repeated_rate * vector_size)`` of its slots from
+        the pool.  Each vector also derives one output per pair.  A
+        run lays tenant uid blocks out back to back with this size.
+        """
+        outputs = self.vector_size // 2
+        fresh = self.vector_size - int(round(self.repeated_rate * self.vector_size))
+        return self.vector_size + outputs + (self.num_vectors - 1) * (fresh + outputs)
+
 
 class SyntheticWorkload:
     """Deterministic stream of vectors with controlled characteristics.
+
+    ``uid_base`` numbers the stream's tensors ``uid_base, uid_base + 1,
+    ...`` in allocation order (each vector's fresh inputs, then its
+    outputs), so the same seed and base give the same uids in any
+    process.  Without it, uids come from the process-wide
+    :func:`~repro.tensor.spec.next_uid` counter.
 
     Example
     -------
@@ -82,48 +100,49 @@ class SyntheticWorkload:
     [4, 4, 4]
     """
 
-    def __init__(self, params: WorkloadParams, seed=0):
+    def __init__(self, params: WorkloadParams, seed=0, *, uid_base: int | None = None):
         self.params = params
         self._rng = as_generator(seed)
         self._picker = make_picker(params.distribution, sigma_frac=params.sigma_frac)
+        self._uid = next_uid if uid_base is None else itertools.count(uid_base).__next__
         #: History of every input tensor ever emitted (pick pool).
         self.pool: list[TensorSpec] = []
         self._emitted = 0
 
-    def _new_tensor(self) -> TensorSpec:
-        # Params are validated at WorkloadParams construction, so the
-        # unchecked spec builder is safe here (hot: one per fresh slot).
-        p = self.params
-        return _spec_unchecked(
-            next_uid(),
-            p.tensor_size,
-            p.batch,
-            p.rank,
-            p.dtype_bytes,
-            f"t{len(self.pool)}",
-        )
-
     def next_vector(self) -> VectorSpec:
         """Generate the next vector in the stream."""
         p = self.params
+        pool = self.pool
+        uid = self._uid
         n_slots = p.vector_size
-        n_repeat = int(round(p.repeated_rate * n_slots)) if self.pool else 0
-        n_new = n_slots - n_repeat
+        n_repeat = int(round(p.repeated_rate * n_slots)) if pool else 0
 
-        slots: list[TensorSpec] = []
         if n_repeat:
             # .tolist() converts the drawn indices to Python ints once —
             # list indexing by numpy scalars pays __index__ per lookup.
-            idx = self._picker.pick(len(self.pool), n_repeat, self._rng).tolist()
-            slots.extend(self.pool[i] for i in idx)
-        for _ in range(n_new):
-            t = self._new_tensor()
-            self.pool.append(t)
+            idx = self._picker.pick(len(pool), n_repeat, self._rng).tolist()
+            slots = [pool[i] for i in idx]
+        else:
+            slots = []
+        # Params are validated at WorkloadParams construction, so the
+        # unchecked spec builders are safe here (hot: one per fresh slot
+        # and one per pair).
+        size, batch, rank, dtype_bytes = p.tensor_size, p.batch, p.rank, p.dtype_bytes
+        for _ in range(n_slots - n_repeat):
+            t = _spec_unchecked(uid(), size, batch, rank, dtype_bytes, f"t{len(pool)}")
+            pool.append(t)
             slots.append(t)
 
-        order = self._rng.permutation(n_slots).tolist()
-        slots = [slots[i] for i in order]
-        pairs = [TensorPair.make(slots[2 * i], slots[2 * i + 1]) for i in range(n_slots // 2)]
+        # Same swaps, in the same order, as indexing by permutation(n).
+        self._rng.shuffle(slots)
+        out_rank = output_rank(rank, rank)
+        pairs = []
+        for i in range(0, n_slots, 2):
+            left, right = slots[i], slots[i + 1]
+            out = _spec_unchecked(
+                uid(), size, batch, out_rank, dtype_bytes, f"({left.label}*{right.label})"
+            )
+            pairs.append(_pair_unchecked(left, right, out))
 
         # Every repeated slot comes from the pool (seen before this
         # call) and every fresh tensor has a brand-new uid, so the

@@ -32,7 +32,6 @@ from repro.serve import (
     TenantSpec,
     serve,
 )
-from repro.tensor.spec import reset_uid_counter
 from repro.workloads import SyntheticWorkload, WorkloadParams
 
 MIB = 1024**2
@@ -43,7 +42,7 @@ def stream(n=24, seed=3):
     params = WorkloadParams(
         vector_size=8, tensor_size=64, repeated_rate=0.6, num_vectors=n, batch=2
     )
-    return SyntheticWorkload(params, seed=seed).vectors()
+    return SyntheticWorkload(params, seed=seed, uid_base=0).vectors()
 
 
 def tenant_roster(n=12, rate=8_000.0):
@@ -96,10 +95,10 @@ def flap(device, time_s=0.002, duration_s=0.001, count=2):
 def run_mode(mode: str, trace: TraceConfig | None = None):
     """One fixed-seed serving run in ``mode``, optionally with ``trace`` set.
 
-    Tensor uids come from a process-global counter and surface in
-    integrity and cross-node labels, so every run starts it from zero.
+    Tensor uids surface in integrity and cross-node labels.  Tenant runs
+    number them in run-scoped blocks and the single-stream vectors from
+    an explicit base, so no process-global state feeds the artifacts.
     """
-    reset_uid_counter()
     cfg, kwargs = mode_setup(mode)
     if trace is not None:
         cfg = cfg.with_(trace=trace)

@@ -94,6 +94,20 @@ class TestCandidateQueue:
         assert sched.build_candidates(p, shard) == [4, 5, 6, 7]
         assert sched.choose(p, shard) == 4
 
+    def test_shard_view_alive_ids_follow_every_alive_set_change(self):
+        cl = make_cluster(num_devices=8)
+        shard = ShardView(cl, range(4, 8))
+        first = shard.alive_ids()
+        assert first == [4, 5, 6, 7] and shard.alive_ids() is first  # cached
+        cl.fail_device(5)
+        assert shard.alive_ids() == [4, 6, 7]
+        cl.retire_device(7)
+        assert shard.alive_ids() == [4, 6] and shard.num_alive == 2
+        cl.fail_device(0)  # off the shard: a new list, same answer
+        assert shard.alive_ids() == [4, 6]
+        cl.activate_device(7)
+        assert shard.alive_ids() == [4, 6, 7]
+
     def test_full_fallback_when_all_over(self):
         sched = MiccoScheduler()
         self.cl.assigned_slots[:] = 100

@@ -2,7 +2,9 @@
 
 import json
 import math
+import struct
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -91,6 +93,14 @@ class TestAggregates:
         } <= set(s)
         assert s["completed"] == 2
         assert s["throughput_vps"] == pytest.approx(2 / 3.0)
+
+    def test_summary_stats_equal_the_properties_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for rep in (report_with(rng.exponential(size=257).tolist()), LatencyReport()):
+            s = rep.summary()
+            got = [s["p50_s"], s["p95_s"], s["p99_s"], s["mean_latency_s"]]
+            want = [rep.p50, rep.p95, rep.p99, rep.mean_latency_s]
+            assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", x) for x in want]
 
 
 class TestExports:

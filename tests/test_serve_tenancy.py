@@ -89,8 +89,8 @@ class TestBuildStreams:
         s2 = build_streams(tenants, seed=5)
         assert [st.times for st in s1] == [st.times for st in s2]
         assert [
-            [v.num_tensors for v in st.vectors] for st in s1
-        ] == [[v.num_tensors for v in st.vectors] for st in s2]
+            [v.num_tensors for v in st] for st in s1
+        ] == [[v.num_tensors for v in st] for st in s2]
 
     def test_different_seeds_differ(self):
         tenants = (spec("a"),)
@@ -98,7 +98,7 @@ class TestBuildStreams:
 
     def test_vector_ids_globally_unique(self):
         streams = build_streams((spec("a", num_vectors=3), spec("b", num_vectors=3)), 0)
-        ids = [v.vector_id for st in streams for v in st.vectors]
+        ids = [v.vector_id for st in streams for v in st]
         assert ids == list(range(6))
 
     def test_rejects_duplicate_names(self):
