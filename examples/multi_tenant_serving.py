@@ -25,9 +25,8 @@ from repro import (
     SloTargets,
     TenantSpec,
     WorkloadParams,
-    serve,
 )
-from repro.serve import BurstyArrivals, PoissonArrivals, ServeConfig
+from repro.serve import BurstyArrivals, PoissonArrivals, ServeConfig, serve
 
 SEED = 7
 

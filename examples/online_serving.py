@@ -21,8 +21,8 @@ from repro import (
     ServeConfig,
     SyntheticWorkload,
     WorkloadParams,
-    serve,
 )
+from repro.serve import serve
 
 
 def main() -> None:

@@ -8,9 +8,10 @@ Public API highlights
 * :class:`repro.WorkloadParams` / :class:`repro.SyntheticWorkload` —
   synthetic vector streams with the paper's data characteristics.
 * :mod:`repro.schedulers` — MICCO heuristic and baseline schedulers.
-* :mod:`repro.serve` — online serving simulator (:class:`repro.MiccoServer`):
-  arrival processes, admission control, latency SLO metrics; multi-tenant
-  mode (``ServeConfig(tenants=...)``) with weighted-fair admission and a
+* :mod:`repro.serve` — online serving simulator (:class:`repro.MiccoServer`,
+  entry point :func:`repro.serve.serve`): arrival processes, admission
+  control, latency SLO metrics; multi-tenant mode
+  (``ServeConfig(tenants=...)``) with weighted-fair admission and a
   p99-driven device-pool autoscaler.
 * :mod:`repro.faults` — seeded fault injection (:class:`repro.FaultPlan`)
   and recovery: chaos-hardened serving on a shrinking device pool.
@@ -41,7 +42,6 @@ from repro.serve import (
     TenantSpec,
     TraceArrivals,
     make_server,
-    serve,
 )
 from repro.tensor import TensorPair, TensorSpec, VectorSpec
 from repro.workloads import SyntheticWorkload, WorkloadParams
@@ -68,7 +68,6 @@ __all__ = [
     "MiccoScheduler",
     "ReuseBounds",
     "RoundRobinScheduler",
-    "serve",
     "make_server",
     "MiccoServer",
     "ServeConfig",

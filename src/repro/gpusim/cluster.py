@@ -42,21 +42,25 @@ class ClusterState:
         self.devices = list(devices)
         self.eviction_policy = eviction_policy
         self.pools = [MemoryPool(d.memory_bytes, policy=eviction_policy) for d in devices]
+        # The per-device ledgers below are plain lists indexed by device
+        # id: the engine and MICCO touch single slots on every pair, and
+        # a list slot is several times cheaper than a numpy scalar.
+        # Reductions (``busy_s`` and the metrics) go through numpy.
+        n = len(devices)
         # mapGPUCom: accumulated simulated compute seconds per device.
-        self.compute_s = np.zeros(len(devices))
+        self.compute_s: list[float] = [0.0] * n
         # Accumulated memory-operation seconds per device (for
         # earliest-available-device baselines that watch busy time).
-        self.memop_s = np.zeros(len(devices))
+        self.memop_s: list[float] = [0.0] * n
         # uid -> set of device ids currently holding a copy.
         self._holders: dict[int, set[int]] = {}
         # Per-vector load counters (the paper's availability test).
-        self.assigned_slots = np.zeros(len(devices), dtype=np.int64)
+        self.assigned_slots: list[int] = [0] * n
         self.balance_num: float = 0.0
-        # Slot-indexed device horizon: the simulated time until which
-        # each device is busy.  Owned by the serving loop (one shared
-        # preallocated array instead of per-event allocation); the
-        # batch paths leave it at zero.
-        self.busy_until = np.zeros(len(devices))
+        # Device horizon: the simulated time until which each device is
+        # busy.  Owned by the serving loop (one shared list, zeroed in
+        # place per run); the batch paths leave it at zero.
+        self.busy_until: list[float] = [0.0] * n
         # Device health: offline devices stay in ``devices`` (ids keep
         # their meaning) but leave this set.  A device goes offline by
         # *failing* (permanent, also enters ``_failed``) or by being
@@ -165,7 +169,7 @@ class ClusterState:
             raise SchedulingError(f"vector must have positive tensor slots, got {num_tensors}")
         if not self._alive:
             raise SchedulingError("cannot begin a vector: every device has been lost")
-        self.assigned_slots[:] = 0
+        self.assigned_slots[:] = [0] * self.num_devices
         self.balance_num = num_tensors / self.num_alive
 
     def record_assignment(self, device_id: int, slots: int = 2) -> None:
@@ -385,18 +389,19 @@ class ClusterState:
     @property
     def busy_s(self) -> np.ndarray:
         """Total accumulated busy time per device."""
-        return self.compute_s + self.memop_s
+        return np.add(self.compute_s, self.memop_s)
 
     def reset(self) -> None:
         """Clear all residency and counters (fresh cluster)."""
         for p in self.pools:
             p.clear()
-        self.compute_s[:] = 0.0
-        self.memop_s[:] = 0.0
+        n = self.num_devices
+        self.compute_s[:] = [0.0] * n
+        self.memop_s[:] = [0.0] * n
         self._holders.clear()
-        self.assigned_slots[:] = 0
+        self.assigned_slots[:] = [0] * n
         self.balance_num = 0.0
-        self.busy_until[:] = 0.0
+        self.busy_until[:] = [0.0] * n
         self._alive = set(range(self.num_devices))
         self._failed = set()
         self._alive_changed()
@@ -406,13 +411,13 @@ class ClusterState:
         import copy
 
         other = ClusterState(self.devices, eviction_policy=self.eviction_policy)
-        other.compute_s = self.compute_s.copy()
-        other.memop_s = self.memop_s.copy()
+        other.compute_s = list(self.compute_s)
+        other.memop_s = list(self.memop_s)
         other.pools = copy.deepcopy(self.pools)
         other._holders = {uid: set(devs) for uid, devs in self._holders.items()}
-        other.assigned_slots = self.assigned_slots.copy()
+        other.assigned_slots = list(self.assigned_slots)
         other.balance_num = self.balance_num
-        other.busy_until = self.busy_until.copy()
+        other.busy_until = list(self.busy_until)
         other._alive = set(self._alive)
         other._failed = set(self._failed)
         other._alive_changed()

@@ -70,11 +70,14 @@ class ExecutionEngine:
         #: clean host fetch, like a detected transfer fault).
         self.integrity = None
         self.retry = retry or RetryPolicy()
-        #: Per-device ``peak_gflops * 1e9`` cache for the kernel time,
-        #: keyed on the cluster's device-list identity (device specs are
-        #: immutable; the list is only ever replaced wholesale).
-        self._peak9: list[float] | None = None
-        self._peak9_devices = None
+        #: ``(size, batch, left rank, right rank, device) -> (flops,
+        #: kernel seconds)``, valid for the cost model and device list
+        #: held beside it: both are immutable in what the kernel time
+        #: reads (a frozen dataclass; immutable specs in a list that is
+        #: only ever replaced wholesale), so their identities key it.
+        self._kernels: dict[tuple, tuple[int, float]] = {}
+        self._kernels_cm: CostModel | None = None
+        self._kernels_devices: list | None = None
 
     # ------------------------------------------------------------- single pair
     def _run_pair(self, pair: TensorPair, device_id: int, metrics: ExecutionMetrics) -> None:
@@ -90,9 +93,11 @@ class ExecutionEngine:
         accounts bit-identically to one without.
         """
         cl = self.cluster
-        if not (0 <= device_id < cl.num_devices):
-            raise SchedulingError(f"device id {device_id} out of range 0..{cl.num_devices - 1}")
         if device_id not in cl._alive:
+            # Out-of-range ids are never alive, so one membership test
+            # guards both errors on the common path.
+            if not (0 <= device_id < cl.num_devices):
+                raise SchedulingError(f"device id {device_id} out of range 0..{cl.num_devices - 1}")
             raise DeviceLostError(device_id)
         cm = self.cost_model
         injector = self.injector
@@ -104,6 +109,7 @@ class ExecutionEngine:
         journal = cl.journal
         interconnect = cm.interconnect
         topo = cm.topology
+        nodes = topo.node_table if topo is not None else None
         alloc_latency = cm.alloc_latency_s
         alloc_bw = cm.alloc_bandwidth
         left, right, out = pair.left, pair.right, pair.out
@@ -209,7 +215,7 @@ class ExecutionEngine:
             if source is None:
                 counts.h2d_transfers += 1
             else:
-                if topo is not None and not topo.same_node(source, device_id):
+                if nodes is not None and nodes[source] != nodes[device_id]:
                     counts.cross_node_fetches += 1
                     if injector is not None:
                         # Traffic on the slow inter-node link: make the
@@ -282,18 +288,20 @@ class ExecutionEngine:
         if trace is not None:
             trace.record("alloc", device_id, out_alloc_t, uid=out_uid, nbytes=out_nb)
 
-        # Kernel; flops are computed once and reused for the
-        # throughput counter.
-        flops = pair_flops(pair)
-        size = left.size
+        # Kernel: flops and seconds depend only on the input shapes and
+        # the device, so each combination is computed once per cost
+        # model and device list.
         devices = cl.devices
-        if self._peak9_devices is not devices:
-            self._peak9 = [d.peak_gflops * 1e9 for d in devices]
-            self._peak9_devices = devices
-        # ``peak * 1e9 * eff`` associates left-to-right, so hoisting the
-        # first product preserves the exact float result.
-        rate = self._peak9[device_id] * (size / (size + cm.efficiency_half_size))
-        kt = cm.kernel_launch_s + flops / rate
+        kernels = self._kernels
+        if self._kernels_cm is not cm or self._kernels_devices is not devices:
+            kernels.clear()
+            self._kernels_cm = cm
+            self._kernels_devices = devices
+        kkey = (left.size, left.batch, left.rank, right.rank, device_id)
+        entry = kernels.get(kkey)
+        if entry is None:
+            entry = kernels[kkey] = (pair_flops(pair), cm.kernel_time(pair, devices[device_id]))
+        flops, kt = entry
         busy_s = kt
         if injector is not None:
             # Stragglers stretch the kernel for the window's duration.

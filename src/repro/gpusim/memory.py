@@ -16,7 +16,7 @@ Eviction policies (the ablation bench compares them):
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import CapacityError
 from repro.utils.validation import check_in, check_positive
@@ -24,9 +24,11 @@ from repro.utils.validation import check_in, check_positive
 EVICTION_POLICIES = ("lru", "fifo", "largest")
 
 
-@dataclass(frozen=True, slots=True)
-class Residency:
-    """One resident tensor: identity plus footprint."""
+class Residency(NamedTuple):
+    """One resident tensor: identity plus footprint.
+
+    A tuple, because one is built per eviction on the engine's hot path.
+    """
 
     uid: int
     nbytes: int
@@ -149,7 +151,7 @@ class MemoryPool:
                 if insertion:
                     insertion.pop(victim, None)
                 self._used -= vb
-                evicted.append(Residency(uid=victim, nbytes=vb))
+                evicted.append(Residency(victim, vb))
             if nbytes > capacity - self._used:
                 # Roll back is unnecessary: evictions already happened on the
                 # simulated device; report the capacity failure.

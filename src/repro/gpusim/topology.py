@@ -11,7 +11,7 @@ unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.utils.validation import check_non_negative, check_positive
@@ -41,6 +41,9 @@ class Topology:
     intra_node_bandwidth: float = 18e9
     inter_node_bandwidth: float = 6e9
     inter_node_extra_latency_s: float = 5e-6
+    #: Device -> node table (derived, computed once): the engine reads
+    #: it on every D2D fetch.
+    node_table: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_positive("num_devices", self.num_devices)
@@ -53,6 +56,11 @@ class Topology:
                 f"num_devices ({self.num_devices}) must be a multiple of "
                 f"devices_per_node ({self.devices_per_node})"
             )
+        object.__setattr__(
+            self,
+            "node_table",
+            tuple(d // self.devices_per_node for d in range(self.num_devices)),
+        )
 
     @property
     def num_nodes(self) -> int:
@@ -62,7 +70,7 @@ class Topology:
         """Node index hosting ``device_id``."""
         if not 0 <= device_id < self.num_devices:
             raise ConfigurationError(f"device id {device_id} outside 0..{self.num_devices - 1}")
-        return device_id // self.devices_per_node
+        return self.node_table[device_id]
 
     def same_node(self, a: int, b: int) -> bool:
         return self.node_of(a) == self.node_of(b)
@@ -79,8 +87,13 @@ class Topology:
         return list(range(start, start + self.devices_per_node))
 
     def d2d_time(self, src: int, dst: int, nbytes: int, base_latency_s: float) -> float:
-        """Seconds to move ``nbytes`` from ``src`` to ``dst``."""
-        if self.same_node(src, dst):
+        """Seconds to move ``nbytes`` from ``src`` to ``dst``.
+
+        Reads :attr:`node_table` directly (no per-endpoint range
+        check): callers pass device ids of this topology.
+        """
+        nodes = self.node_table
+        if nodes[src] == nodes[dst]:
             return base_latency_s + nbytes / self.intra_node_bandwidth
         return (
             base_latency_s

@@ -157,19 +157,19 @@ class MiccoScheduler(Scheduler):
             pattern = _ONE_REPEATED if (left or right) else _TWO_NEW
         self._pattern_hits[pattern] += 1
 
-        slots = cluster.assigned_slots.tolist()
+        slots = cluster.assigned_slots
         balance = cluster.balance_num
         bounds = self.bounds
         if self.pattern_aware:
             # Step I: devices holding both tensors, under the tier-0 bound.
             if common:
-                thr = bounds[0] + balance
+                thr = bounds.same + balance
                 candi = [g for g in sorted(common) if slots[g] < thr]
                 if candi:
                     return candi, 0, left, right
             # Step II: devices holding one tensor, under the tier-1 bound.
             if left or right:
-                thr = bounds[1] + balance
+                thr = bounds.partial + balance
                 candi = [g for g in sorted(left | right) if slots[g] < thr]
                 if candi:
                     return candi, 1, left, right
@@ -181,7 +181,7 @@ class MiccoScheduler(Scheduler):
         # mid-vector; every alive device is the defensive answer for
         # degenerate configurations (e.g. externally mutated counters).
         alive = cluster.alive_ids()
-        thr = bounds[2] + balance
+        thr = bounds.new + balance
         candi = [g for g in alive if slots[g] < thr]
         return candi or alive, 2, left, right
 
@@ -211,7 +211,9 @@ class MiccoScheduler(Scheduler):
             raise SchedulingError("empty candidate queue")
         pools = cluster.pools
         compute = cluster.compute_s
-        free = [pools[g].free_bytes for g in candidates]
+        # ``MemoryPool.free_bytes`` spelled out: a property call per
+        # candidate is most of this list's cost.
+        free = [(p := pools[g]).capacity_bytes - p._used for g in candidates]
         evict = False
         if self.eviction_sensitive:
             out_b = pair.out.nbytes

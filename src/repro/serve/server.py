@@ -31,8 +31,6 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.config import MiccoConfig
 from repro.errors import ConfigurationError, FaultError
 from repro.faults.injector import FaultInjector
@@ -674,8 +672,8 @@ class RunState:
     timeline: Timeline
     report: LatencyReport
     total: ExecutionMetrics
-    #: Slot-indexed device busy-until horizons (the cluster's array).
-    busy_until: np.ndarray
+    #: Device busy-until horizons indexed by device id (the cluster's list).
+    busy_until: list[float]
     injector: FaultInjector | None
     integ: IntegrityState | None
     journal: ResidencyJournal | None
@@ -855,10 +853,10 @@ class MiccoServer:
         if faults is None:
             faults = cfg.faults
         n = self.cluster.num_devices
-        # Slot-indexed device horizons live on the cluster (shared with
+        # Device horizons live on the cluster (shared with
         # introspection/benchmarks); each serve pass starts them fresh.
         busy_until = self.cluster.busy_until
-        busy_until.fill(0.0)
+        busy_until[:] = [0.0] * n
         run = RunState(
             timeline=Timeline(),
             report=LatencyReport(),
@@ -956,7 +954,7 @@ class MiccoServer:
             journal=journal.summary() if journal is not None else None,
             rounds=run.rounds_log,
             integrity=(
-                integ.summary(float(run.total.compute_s.sum())) if integ is not None else None
+                integ.summary(run.total.total_compute_s) if integ is not None else None
             ),
             events_processed=run.events_processed,
             engine_trace=recorder,
@@ -1395,9 +1393,9 @@ class MiccoServer:
         # Per-device busy seconds this round added; members share the
         # round's horizon on the devices they use.
         busy_until = run.busy_until
-        delta = vec_metrics.compute_s + vec_metrics.memop_s
+        compute, memop = vec_metrics.compute_s, vec_metrics.memop_s
         for dev in sorted(set(assignment)):
-            busy_until[dev] = max(busy_until[dev], now) + delta[dev]
+            busy_until[dev] = max(busy_until[dev], now) + (compute[dev] + memop[dev])
         run.total.merge(vec_metrics)
         # De-multiplex: each member keeps its own assignment slice and
         # completes when its own devices drain.
@@ -1998,9 +1996,9 @@ class MiccoServer:
             if stats is not None:
                 stats.rescheduled_pairs += 1
         run.total.merge(vec_metrics)
-        delta = vec_metrics.compute_s + vec_metrics.memop_s
+        compute, memop = vec_metrics.compute_s, vec_metrics.memop_s
         for dev in sorted({ticket.assignment[i] for i in orphan_idx}):
-            busy_until[dev] = max(busy_until[dev], now) + delta[dev]
+            busy_until[dev] = max(busy_until[dev], now) + (compute[dev] + memop[dev])
         ticket.devices = sorted(set(ticket.assignment))
         complete = now
         for dev in ticket.devices:
@@ -2063,7 +2061,7 @@ class MiccoServer:
         vid = vector.vector_id
         cm = self.config.cost_model
         cluster = self.cluster
-        budget_s = cfg.audit_budget_frac * float(run.total.compute_s.sum())
+        budget_s = cfg.audit_budget_frac * run.total.total_compute_s
         suspect_full = cfg.mode == "suspect-full" and any(
             integ.is_suspect(d) for d in ticket.devices
         )

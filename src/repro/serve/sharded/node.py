@@ -92,7 +92,8 @@ class ShardView:
         alive = self.num_alive
         if alive == 0:
             raise SchedulingError("cannot begin a vector: the shard has no alive devices")
-        self._cluster.assigned_slots[:] = 0
+        slots = self._cluster.assigned_slots
+        slots[:] = [0] * len(slots)
         self._cluster.balance_num = num_tensors / alive
 
 

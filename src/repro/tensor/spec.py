@@ -122,24 +122,36 @@ def _spec_unchecked(
     existing spec); re-running the dataclass ``__init__`` +
     ``__post_init__`` checks roughly doubles construction cost.
     Callers MUST guarantee the arguments satisfy the class invariants.
+    Fields are stored through the class's pre-bound slot setters, which
+    bypass the frozen ``__setattr__`` more cheaply than
+    ``object.__setattr__`` does.
     """
-    self = TensorSpec.__new__(TensorSpec)
-    _set = object.__setattr__
-    _set(self, "uid", uid)
-    _set(self, "size", size)
-    _set(self, "batch", batch)
-    _set(self, "rank", rank)
-    _set(self, "dtype_bytes", dtype_bytes)
-    _set(self, "label", label)
+    self = _new_spec(TensorSpec)
+    _set_uid(self, uid)
+    _set_size(self, size)
+    _set_batch(self, batch)
+    _set_rank(self, rank)
+    _set_dtype_bytes(self, dtype_bytes)
+    _set_label(self, label)
     shape = (size, batch, rank, dtype_bytes)
     sizes = _shape_sizes.get(shape)
     if sizes is None:
         dim = size * size if rank == 2 else size * size * size
         elements = batch * dim
         sizes = _shape_sizes[shape] = (elements, elements * dtype_bytes)
-    _set(self, "elements", sizes[0])
-    _set(self, "nbytes", sizes[1])
+    _set_elements(self, sizes[0])
+    _set_nbytes(self, sizes[1])
     return self
+
+
+_new_spec = TensorSpec.__new__
+(
+    _set_uid, _set_size, _set_batch, _set_rank, _set_dtype_bytes, _set_label,
+    _set_elements, _set_nbytes,
+) = (
+    TensorSpec.__dict__[name].__set__
+    for name in ("uid", "size", "batch", "rank", "dtype_bytes", "label", "elements", "nbytes")
+)
 
 
 #: ``(size, batch, rank, dtype_bytes) -> (elements, nbytes)``.  Every
@@ -154,11 +166,10 @@ def _pair_unchecked(left: TensorSpec, right: TensorSpec, out: TensorSpec) -> "Te
     Callers MUST guarantee ``left`` and ``right`` share size and batch
     (``out`` is the contraction output derived from them).
     """
-    pair = TensorPair.__new__(TensorPair)
-    _set = object.__setattr__
-    _set(pair, "left", left)
-    _set(pair, "right", right)
-    _set(pair, "out", out)
+    pair = _new_pair(TensorPair)
+    _set_left(pair, left)
+    _set_right(pair, right)
+    _set_out(pair, out)
     return pair
 
 
@@ -207,6 +218,11 @@ class TensorPair:
         # assembled, so the dataclass re-validation can be skipped.
         return _pair_unchecked(left, right, _output_spec(left, right, label=label))
 
+
+_new_pair = TensorPair.__new__
+_set_left, _set_right, _set_out = (
+    TensorPair.__dict__[name].__set__ for name in ("left", "right", "out")
+)
 
 #: Cache for :func:`repro.tensor.contraction.output_spec` (import cycle).
 _output_spec = None

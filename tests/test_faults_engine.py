@@ -229,8 +229,8 @@ class TestDeviceLossTraced(Traced, TestDeviceLoss):
 def metrics_fingerprint(m: ExecutionMetrics) -> tuple:
     """Every field of ``m`` as exact (hashable) values."""
     return (
-        m.compute_s.tolist(), m.memop_s.tolist(), dataclasses.astuple(m.counts),
-        m.total_flops, m.pairs_executed, m.pairs_per_device.tolist(),
+        list(m.compute_s), list(m.memop_s), dataclasses.astuple(m.counts),
+        m.total_flops, m.pairs_executed, list(m.pairs_per_device),
     )
 
 

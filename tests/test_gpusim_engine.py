@@ -1,15 +1,20 @@
 """Unit tests for the ExecutionEngine: counters, residency, costs."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SchedulingError
+from repro.gpusim.cluster import ClusterState
 from repro.gpusim.costmodel import CostModel
+from repro.gpusim.device import DeviceSpec
 from repro.gpusim.engine import ExecutionEngine
 from repro.gpusim.metrics import ExecutionMetrics
+from repro.gpusim.topology import Topology
+from repro.gpusim.trace import TraceRecorder
 from repro.tensor.flops import pair_flops
 from repro.tensor.spec import TensorPair, VectorSpec
 from repro.tensor.storage import TensorStore
-from tests.conftest import make_cluster, make_pair, make_tensor, make_vector
+from tests.conftest import MIB, make_cluster, make_pair, make_tensor, make_vector
 
 
 def fresh(num_devices=2, memory_mib=64, **cm_kwargs):
@@ -238,18 +243,18 @@ class TestDrainOutputs:
         v = make_vector(n_pairs=3)
         assignment = [0, 1, 0]
         m = engine.execute_vector(v, assignment, keep_outputs=True)
-        memop_before = m.memop_s.copy()
+        memop_before = list(m.memop_s)
         engine.drain_outputs(v, assignment, m)
         drains = trace.events_of("drain")
         assert len(drains) == 3
         expected = sum(
             engine.cost_model.interconnect.d2h_time(p.out.nbytes) for p in v.pairs
         )
-        assert float((m.memop_s - memop_before).sum()) == pytest.approx(expected)
+        assert float(np.subtract(m.memop_s, memop_before).sum()) == pytest.approx(expected)
         # Outputs are gone; a second drain is a no-op.
         engine.drain_outputs(v, assignment, m)
         assert len(trace.events_of("drain")) == 3
-        assert float((m.memop_s - memop_before).sum()) == pytest.approx(expected)
+        assert float(np.subtract(m.memop_s, memop_before).sum()) == pytest.approx(expected)
 
     def test_already_evicted_output_skipped(self):
         from repro.gpusim.trace import TraceRecorder
@@ -270,8 +275,83 @@ class TestDrainOutputs:
         cluster, engine = fresh()  # drain_writeback defaults to False
         v = make_vector(n_pairs=2)
         m = engine.execute_vector(v, [0, 1], keep_outputs=True)
-        memop_before = m.memop_s.copy()
+        memop_before = list(m.memop_s)
         engine.drain_outputs(v, [0, 1], m)
-        assert (m.memop_s == memop_before).all()
+        assert m.memop_s == memop_before
         for p in v.pairs:
             assert cluster.devices_holding(p.out.uid) == frozenset()
+
+
+class TestCostTables:
+    """The engine's cached kernel and node tables reproduce the cost model bit for bit."""
+
+    @staticmethod
+    def run_one(engine, pair, device_id):
+        cluster = engine.cluster
+        m = ExecutionMetrics(num_devices=cluster.num_devices)
+        cluster.begin_vector(2)
+        engine.execute_pair(pair, device_id, m)
+        return m
+
+    @pytest.mark.parametrize("ranks", [(2, 2), (3, 3), (2, 3)])
+    def test_kernel_seconds_equal_cost_model(self, ranks):
+        cluster = ClusterState(
+            [DeviceSpec(d, memory_bytes=64 * MIB, peak_gflops=peak)
+             for d, peak in enumerate((1000.0, 2500.0, 7300.0))]
+        )
+        engine = ExecutionEngine(cluster, CostModel())
+        for device_id in range(3):
+            # The second pair of each shape and device reads the table.
+            for _ in range(2):
+                pair = TensorPair.make(make_tensor(8, rank=ranks[0]), make_tensor(8, rank=ranks[1]))
+                m = self.run_one(engine, pair, device_id)
+                assert m.compute_s[device_id] == engine.cost_model.kernel_time(
+                    pair, cluster.devices[device_id]
+                )
+                assert m.total_flops == pair_flops(pair)
+
+    def test_new_cost_model_or_device_list_applies_to_next_pair(self):
+        cluster = make_cluster()
+        engine = ExecutionEngine(cluster, CostModel())
+
+        def kernel_s():
+            pair = make_pair(size=8)
+            got = self.run_one(engine, pair, 0).compute_s[0]
+            assert got == engine.cost_model.kernel_time(pair, cluster.devices[0])
+            return got
+
+        first = kernel_s()
+        engine.cost_model = CostModel(kernel_launch_s=1e-3, efficiency_half_size=64)
+        second = kernel_s()
+        cluster.devices = [DeviceSpec(d, memory_bytes=64 * MIB, peak_gflops=50.0) for d in range(2)]
+        third = kernel_s()
+        assert len({first, second, third}) == 3
+
+    def test_d2d_cost_and_cheapest_holder_follow_topology(self):
+        topo = Topology(
+            num_devices=4, devices_per_node=2,
+            intra_node_bandwidth=20e9, inter_node_bandwidth=2e9,
+        )
+        cm = CostModel(topology=topo, d2d_moves=False)
+        cluster = make_cluster(num_devices=4)
+        trace = TraceRecorder()
+        engine = ExecutionEngine(cluster, cm, trace=trace)
+        pair = make_pair(size=32)
+        # Left: holders on both nodes, so device 3 fetches from its
+        # node peer 2.  Right: only remote holders, the lower id serves.
+        for d in (0, 1, 2):
+            cluster.register(pair.left, d)
+        for d in (0, 1):
+            cluster.register(pair.right, d)
+        m = self.run_one(engine, pair, 3)
+        lat = cm.interconnect.latency_s
+        left_nb, right_nb = pair.left.nbytes, pair.right.nbytes
+        assert [e.duration_s for e in trace.events_of("d2d")] == [
+            topo.d2d_time(2, 3, left_nb, lat),
+            topo.d2d_time(0, 3, right_nb, lat),
+        ]
+        assert topo.d2d_time(2, 3, left_nb, lat) < topo.d2d_time(0, 3, left_nb, lat)
+        assert m.counts.d2d_transfers == 2
+        assert m.counts.cross_node_fetches == 1
+        # Replicating runtime: every source keeps its copy.
+        assert cluster.devices_holding(pair.left.uid) == {0, 1, 2, 3}

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.gpusim.metrics import ExecutionMetrics, MemoryOpCounts
+from tests.conftest import make_cluster
 
 
 class TestCounts:
@@ -72,3 +74,43 @@ class TestMetrics:
         s = ExecutionMetrics(num_devices=1).summary()
         for key in ("gflops", "makespan_s", "reuse_hits", "evictions", "load_imbalance"):
             assert key in s
+
+
+seconds = st.floats(min_value=0.0, max_value=1e3, allow_nan=False, allow_subnormal=False)
+#: Per-device compute and memop vectors over at least 8 devices: from 8
+#: elements on, numpy's pairwise sum can round differently from a
+#: left-to-right Python ``sum``.
+ledgers = st.integers(8, 24).flatmap(
+    lambda n: st.tuples(
+        st.lists(seconds, min_size=n, max_size=n), st.lists(seconds, min_size=n, max_size=n)
+    )
+)
+
+
+class TestDeviceReductions:
+    """List-backed ledgers reduce exactly like the ndarray formulas they replace."""
+
+    @given(ledgers, st.integers(0, 10**15))
+    @settings(max_examples=60, deadline=None)
+    def test_reductions_match_ndarray_formulas(self, vectors, flops):
+        compute, memop = vectors
+        assume(float(np.sum(compute)) != sum(compute))
+        n = len(compute)
+        m = ExecutionMetrics(num_devices=n, total_flops=flops)
+        m.compute_s[:] = compute
+        m.memop_s[:] = memop
+        c, mo = np.array(compute), np.array(memop)
+        t = c + mo
+        span = float(t.max())
+        mean = float(t.mean())
+        busy = float(t.sum())
+        assert m.makespan_s == span
+        assert m.load_imbalance == (span / mean if mean > 0 else 1.0)
+        assert m.memop_fraction == (float(mo.sum()) / busy if busy > 0 else 0.0)
+        assert m.gflops == (flops / span / 1e9 if span > 0 else 0.0)
+        # The integrity audit budget's base (``audit_budget_frac`` times it).
+        assert m.total_compute_s == float(c.sum())
+        cluster = make_cluster(num_devices=n)
+        cluster.compute_s[:] = compute
+        cluster.memop_s[:] = memop
+        assert np.array_equal(cluster.busy_s, t)

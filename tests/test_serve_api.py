@@ -141,3 +141,18 @@ class TestDeprecation:
                 arrivals=[0.0, 0.1],
                 seed=0,
             )
+
+
+class TestImportForms:
+    def test_subpackage_and_entry_point_both_import(self):
+        """``repro.serve`` is the subpackage; ``serve()`` lives inside it."""
+        import types
+
+        import repro
+        import repro.serve.queueing as queueing
+        from repro.serve import serve as entry_point
+
+        assert isinstance(repro.serve, types.ModuleType)
+        assert repro.serve.queueing is queueing
+        assert repro.serve.serve is entry_point is serve
+        assert "serve" not in repro.__all__

@@ -9,11 +9,10 @@ ahead of its arrivals; and a run's artifacts do not depend on what else
 the process generated before it.
 """
 
-import importlib
-
 import numpy as np
 import pytest
 
+import repro.serve.server as server_module
 from repro.core.config import MiccoConfig
 from repro.gpusim import TraceConfig
 from repro.gpusim.device import GIB
@@ -27,9 +26,6 @@ from repro.workloads.synth import generate_stream
 from tests.test_golden_equivalence import artifacts, sharded_cluster, tenant_roster
 
 SEED = 11
-#: ``repro.serve`` re-exports a ``serve`` function, so the module is
-#: reached by name, as perfbench does.
-server_module = importlib.import_module("repro.serve.server")
 
 
 def eager_streams(tenants, seed):

@@ -44,7 +44,10 @@ def main(argv=None) -> int:
         changed = sorted(m for m in set(modes) | set(old) if modes.get(m) != old.get(m))
         for mode in changed:
             print(f"changed: {mode}")
-        return 1 if changed else 0
+        if changed:
+            return 1
+        print(f"all {len(modes)} modes unchanged")
+        return 0
     MANIFEST_PATH.parent.mkdir(parents=True, exist_ok=True)
     MANIFEST_PATH.write_text(json.dumps({"modes": modes}, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(modes)} modes to {MANIFEST_PATH.relative_to(ROOT)}")
